@@ -6,6 +6,32 @@ block order makes every target-component term larger than every
 source-component term, so basis elements supported in the source block cut
 out the kernel.
 
+Packed terms.  Inside the engine a module term `(pos, mono)` is one Python
+int whose natural order is the term order.  From the most significant end it
+holds: the elimination flag (one bit, set for positions below the split), the
+total degree, one field per variable holding `DEG_MAX - exponent` with the
+last variable most significant, and `POS_MAX - pos`.  Every field is 16 bits
+wide; the top bit of each degree and exponent field is a guard bit that is
+zero in a term.  Hence
+
+- multiplying a term by a monomial is one addition: `t * (u / v)` packs as
+  `t + (u - v)` for any terms `u`, `v` at a common position;
+- `lead | t` at a common position is one guard-bit test:
+  `((lead | guards) - t) & guards == guards`;
+- lcm and coprimality of leads are field-wise operations on the same ints.
+
+A term may have total degree at most `DEG_MAX` (2**15 - 1) and position at
+most `POS_MAX` (2**16 - 1); beyond either the engine raises `OverflowError`
+instead of carrying into the next field, both where terms enter and where a
+multiplication could leave the range.  `Vector`, the order keys `top_key`,
+`elim_key` and `grevlex_key`, and everything this module returns keep the
+tuple form `(pos, mono)`.
+
+Coefficients: over F_p they are ints in [0, p).  In characteristic zero they
+stay ints inside the engine while they are integral (the determinantal
+presentations have 3-bit coefficients) and are `Fraction` again wherever they
+leave it.
+
 Pair management follows Gebauer-Moller.  The coprime (product) criterion is
 only applied when both elements are supported in a single position, where the
 rank-one proof applies verbatim; the chain criteria are position-safe.
@@ -14,13 +40,20 @@ rank-one proof applies verbatim; the chain criteria are position-safe.
 from __future__ import annotations
 
 import heapq
-from operator import add
+import struct
+from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .modules import FreeModule, ModuleMap, Vector
 from .rings import PolyRing
 
 Term = tuple[int, tuple[int, ...]]
+
+FIELD_BITS = 16
+DEG_MAX = (1 << (FIELD_BITS - 1)) - 1
+POS_MAX = (1 << FIELD_BITS) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 def grevlex_key(mono: tuple[int, ...]):
@@ -32,45 +65,124 @@ def top_key(term: Term):
     return (0, grevlex_key(mono), -pos)
 
 
+class _BlockKey:
+    """Block order key: positions below `split` dominate everything else."""
+
+    __slots__ = ("split",)
+
+    def __init__(self, split: int):
+        self.split = split
+
+    def __call__(self, term: Term):
+        pos, mono = term
+        return (1 if pos < self.split else 0, grevlex_key(mono), -pos)
+
+
 def elim_key(split: int) -> Callable[[Term], tuple]:
     """Block order: positions below `split` dominate everything else."""
+    return _BlockKey(split)
 
-    def key(term: Term):
+
+class TermCodec:
+    """Packs module terms into ints ordered like `top_key` (split 0) or
+    `elim_key(split)`; see the module docstring for the layout."""
+
+    def __init__(self, nvars: int, split: int = 0):
+        self.nvars = nvars
+        self.split = split
+        ones = sum(1 << (FIELD_BITS * (i + 1)) for i in range(nvars))
+        self.deg_shift = FIELD_BITS * (nvars + 1)
+        self.flag = 1 << (self.deg_shift + FIELD_BITS)
+        self.exp_mask = ones * _FIELD_MASK
+        self.exp_max = ones * DEG_MAX
+        self.guards = ones << (FIELD_BITS - 1)
+        # divisor form of a lead: exponent guards set, plus the degree field's
+        # guard so the subtraction stays nonnegative
+        self.div_bits = self.guards | (1 << (self.deg_shift + FIELD_BITS - 1))
+        self._keep = self.flag | POS_MAX
+        self._fmt = struct.Struct(f"<{nvars}H")
+
+    def pack(self, term: Term) -> int:
         pos, mono = term
-        return (1 if pos < split else 0, grevlex_key(mono), -pos)
+        deg = sum(mono)
+        if deg > DEG_MAX:
+            raise OverflowError(f"term degree {deg} exceeds the packed limit {DEG_MAX}")
+        if not 0 <= pos <= POS_MAX:
+            raise OverflowError(f"position {pos} outside the packed range 0..{POS_MAX}")
+        expo = int.from_bytes(self._fmt.pack(*mono), "little") << FIELD_BITS
+        return (
+            (self.flag if pos < self.split else 0)
+            | (deg << self.deg_shift)
+            | (self.exp_max - expo)
+            | (POS_MAX - pos)
+        )
 
-    return key
+    def unpack(self, gk: int) -> Term:
+        expo = (self.exp_max - (gk & self.exp_mask)) >> FIELD_BITS
+        mono = self._fmt.unpack(expo.to_bytes(2 * self.nvars, "little"))
+        return POS_MAX - (gk & POS_MAX), mono
+
+    def degree(self, gk: int) -> int:
+        return (gk >> self.deg_shift) & _FIELD_MASK
+
+    def divides(self, a: int, b: int) -> bool:
+        """Does the monomial of `a` divide that of `b` (same position)?"""
+        guards = self.guards
+        return ((a | self.div_bits) - b) & guards == guards
+
+    def lcm(self, a: int, b: int) -> int:
+        """Packed lcm of two terms at the same position.  The degree field
+        may exceed DEG_MAX (up to 2 * DEG_MAX); such an lcm orders correctly
+        but is never multiplied out (see `_Elt.limit`)."""
+        ca, cb = a & self.exp_mask, b & self.exp_mask
+        ge = ((ca | self.guards) - cb) & self.guards  # guard set where ca >= cb
+        sel = ge - (ge >> (FIELD_BITS - 1))  # value bits of those fields
+        c = ca - (ca & sel) + (cb & sel)  # field-wise min of complements
+        # fields sum mod 2**16 - 1; exact since the degree is below that
+        deg = ((self.exp_max - c) >> FIELD_BITS) % _FIELD_MASK
+        return (a & self._keep) | (deg << self.deg_shift) | c
+
+    def support(self, gk: int) -> int:
+        """Guard bits of the variables occurring in the term."""
+        return ((self.exp_max - (gk & self.exp_mask)) + self.exp_max) & self.guards
+
+
+def _codec_for(ring: PolyRing, key) -> TermCodec:
+    if key is top_key:
+        return TermCodec(ring.nvars)
+    if isinstance(key, _BlockKey):
+        return TermCodec(ring.nvars, key.split)
+    raise ValueError("the engine supports the top_key and elim_key orders only")
 
 
 class _Elt:
-    __slots__ = ("terms", "lead", "lead_pos", "lead_mono", "single_pos", "degree")
+    """Basis element: packed terms, lead first, plus precomputed lead data."""
 
-    def __init__(self, terms: dict, lead: Term, degree: int):
+    __slots__ = (
+        "idx", "terms", "lead", "lead_pos", "slot", "ldiv", "limit", "support",
+        "single_pos",
+    )
+
+    def __init__(self, idx: int, terms: dict, lead: int, codec: TermCodec):
+        self.idx = idx
         self.terms = terms
         self.lead = lead
-        self.lead_pos = lead[0]
-        self.lead_mono = lead[1]
-        self.single_pos = all(p == lead[0] for p, _ in terms)
-        self.degree = degree
-
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def _coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+        self.slot = lead & POS_MAX
+        self.lead_pos = POS_MAX - self.slot
+        self.ldiv = lead | codec.div_bits
+        # t * (g / lead) stays in range iff t < limit (t at the lead's position)
+        span = max(map(codec.degree, terms)) - codec.degree(lead)
+        self.limit = (lead & codec.flag) | ((DEG_MAX - span + 1) << codec.deg_shift)
+        self.support = codec.support(lead)
+        self.single_pos = all(k & POS_MAX == self.slot for k in terms)
 
 
 class GroebnerEngine:
     """Incremental Buchberger over a free module.
 
-    `degrees` (degree of each position) only steers pair selection; it is the
-    grading of the ambient free module when known.
+    `key` is `top_key` or an `elim_key(split)`.  `degrees` (degree of each
+    position) only steers pair selection; it is the grading of the ambient
+    free module when known.
     """
 
     def __init__(
@@ -80,153 +192,171 @@ class GroebnerEngine:
         degrees: Sequence[int] | None = None,
     ):
         self.ring = ring
-        self.key = key
+        self.codec = _codec_for(ring, key)
         self.degrees = tuple(degrees) if degrees is not None else None
         self.basis: list[_Elt] = []
-        self._by_pos: dict[int, list[int]] = {}
+        # packed position field -> basis elements led there, in index order
+        self._by_pos: dict[int, list[_Elt]] = {}
         self._pairs: list = []
-        self._dropped: set[tuple[int, int]] = set()
-        self._pair_lcms: dict[tuple[int, int], tuple[int, ...]] = {}
+        # packed position field -> {(i, j): packed lcm} of pairs not yet
+        # processed or dropped
+        self._pending: dict[int, dict[tuple[int, int], int]] = {}
+
+    # -- conversion at the boundary ----------------------------------------------
+    def _pack(self, terms: dict) -> dict:
+        pack = self.codec.pack
+        if self.ring.char:
+            return {pack(t): c for t, c in terms.items()}
+        return {pack(t): _integral(c) if type(c) is Fraction else c for t, c in terms.items()}
+
+    def _vector(self, terms: dict) -> Vector:
+        unpack = self.codec.unpack
+        if self.ring.char:
+            return Vector(self.ring, {unpack(k): c for k, c in terms.items()})
+        return Vector(
+            self.ring,
+            {unpack(k): c if type(c) is Fraction else Fraction(c) for k, c in terms.items()},
+        )
 
     # -- basic helpers ---------------------------------------------------------
     def _pos_degree(self, pos: int) -> int:
         return self.degrees[pos] if self.degrees is not None else 0
 
-    def _lead_of(self, terms: dict) -> Term:
-        key = self.key
-        return max(terms, key=key)
-
-    def _make_monic(self, terms: dict, lead: Term) -> dict:
-        ring = self.ring
+    def _monic(self, terms: dict) -> dict:
+        """Scale so the lead coefficient is one and put the lead first."""
+        lead = max(terms)
         c = terms[lead]
-        if c == 1:
-            return terms
-        inv = ring.coeff_inv(c)
-        return {t: ring.coeff_mul(v, inv) for t, v in terms.items()}
+        ring = self.ring
+        if c != 1:
+            if ring.char:
+                p = ring.char
+                inv = ring.coeff_inv(c)
+                terms = {t: v * inv % p for t, v in terms.items()}
+            elif type(c) is int and all(type(v) is int and not v % c for v in terms.values()):
+                terms = {t: v // c for t, v in terms.items()}
+            else:
+                inv = ring.coeff_inv(c)
+                terms = {t: _integral(v * inv) for t, v in terms.items()}
+        if next(iter(terms)) != lead:
+            terms = {lead: terms[lead], **terms}
+        return terms
 
     # -- reduction ---------------------------------------------------------------
     def reduce_terms(self, terms: dict) -> dict:
-        """Full normal form of a term dict against the current basis."""
-        ring = self.ring
-        p = ring.char
-        key = self.key
+        """Full normal form of a packed term dict against the current basis."""
+        p = self.ring.char
         by_pos = self._by_pos
-        basis = self.basis
+        guards = self.codec.guards
+        heappush, heappop = heapq.heappush, heapq.heappop
         work = dict(terms)
         out: dict = {}
-        heap = [(_neg(key(t)), t) for t in work]
+        heap = [-t for t in work]
         heapq.heapify(heap)
         while heap:
-            _, t = heapq.heappop(heap)
-            c = work.get(t)
+            t = -heappop(heap)
+            c = work.pop(t, 0)
             if not c:
                 continue
-            pos, mono = t
-            reducer = None
-            for idx in by_pos.get(pos, ()):
-                g = basis[idx]
-                if _divides(g.lead_mono, mono):
-                    reducer = g
+            for g in by_pos.get(t & POS_MAX, ()):
+                if (g.ldiv - t) & guards == guards:
                     break
-            if reducer is None:
+            else:
                 out[t] = c
-                del work[t]
                 continue
-            shift = tuple(map(lambda a, b: a - b, mono, reducer.lead_mono))
+            if t >= g.limit:
+                raise OverflowError(f"reduction leaves the packed degree range 0..{DEG_MAX}")
+            delta = t - g.lead
+            # the lead term cancels t exactly; the tail follows it
             if p:
                 q = c % p
-                for (gp, gm), gc in reducer.terms.items():
-                    nt = (gp, tuple(map(add, gm, shift)))
+                for gk, gc in islice(g.terms.items(), 1, None):
+                    nt = gk + delta
                     cur = work.get(nt)
-                    nv = ((cur or 0) - q * gc) % p
-                    if nv:
-                        if cur is None:
-                            heapq.heappush(heap, (_neg(key(nt)), nt))
-                        work[nt] = nv
-                    elif cur is not None:
-                        del work[nt]
+                    if cur is None:
+                        nv = -q * gc % p
+                        if nv:
+                            work[nt] = nv
+                            heappush(heap, -nt)
+                    else:
+                        nv = (cur - q * gc) % p
+                        if nv:
+                            work[nt] = nv
+                        else:
+                            del work[nt]
             else:
-                q = c
-                for (gp, gm), gc in reducer.terms.items():
-                    nt = (gp, tuple(map(add, gm, shift)))
+                for gk, gc in islice(g.terms.items(), 1, None):
+                    nt = gk + delta
                     cur = work.get(nt)
-                    nv = (cur or 0) - q * gc
-                    if nv:
-                        if cur is None:
-                            heapq.heappush(heap, (_neg(key(nt)), nt))
-                        work[nt] = nv
-                    elif cur is not None:
-                        del work[nt]
+                    if cur is None:
+                        work[nt] = -c * gc
+                        heappush(heap, -nt)
+                    else:
+                        nv = cur - c * gc
+                        if nv:
+                            work[nt] = nv
+                        else:
+                            del work[nt]
         return out
 
     def normal_form(self, v: Vector) -> Vector:
-        return Vector(self.ring, self.reduce_terms(v.terms))
+        return self._vector(self.reduce_terms(self._pack(v.terms)))
 
     # -- pair bookkeeping ---------------------------------------------------------
-    def _pair_entry(self, i: int, j: int, lcm: tuple[int, ...], pos: int):
-        sdeg = sum(lcm) + self._pos_degree(pos)
-        return (sdeg, self.key((pos, lcm)), i, j)
+    def _update_pairs(self, t: _Elt) -> None:
+        """Gebauer-Moller update after appending basis element t."""
+        codec = self.codec
+        guards, div_bits = codec.guards, codec.div_bits
+        peers = [g for g in self._by_pos[t.slot] if g is not t]
+        lcms = {g.idx: codec.lcm(g.lead, t.lead) for g in peers}
+        pending = self._pending.setdefault(t.slot, {})
 
-    def _update_pairs(self, t_idx: int) -> None:
-        """Gebauer-Moller update after appending basis element t_idx."""
-        t = self.basis[t_idx]
-        pos = t.lead_pos
-        peers = [i for i in self._by_pos.get(pos, ()) if i != t_idx]
-        lcms = {i: _lcm(self.basis[i].lead_mono, t.lead_mono) for i in peers}
+        # B criterion: drop pending pairs strictly covered by the new element
+        tdiv = t.ldiv
+        dropped = [
+            pk
+            for pk, old in pending.items()
+            if (tdiv - old) & guards == guards
+            and lcms[pk[0]] != old
+            and lcms[pk[1]] != old
+        ]
+        for pk in dropped:
+            del pending[pk]
 
-        # B criterion: drop old pairs strictly covered by the new element
-        for i in peers:
-            for j in peers:
-                if i >= j:
-                    continue
-                pk = (i, j)
-                if pk in self._dropped or pk not in self._pair_lcms:
-                    continue
-                old = self._pair_lcms[pk]
-                if (
-                    _divides(t.lead_mono, old)
-                    and lcms[i] != old
-                    and lcms[j] != old
-                ):
-                    self._dropped.add(pk)
-
-        # M criterion: keep (i,t) only if no other lcm strictly divides it
+        # M criterion: keep (i,t) only if no other lcm strictly divides it; a
+        # strict divisor has lower degree, hence a smaller packed value
+        values = [(lj, lj | div_bits) for lj in sorted(set(lcms.values()))]
         survivors = []
-        for i in peers:
-            li = lcms[i]
-            if any(
-                _divides(lcms[j], li) and lcms[j] != li for j in peers if j != i
-            ):
-                continue
-            survivors.append(i)
+        for g in peers:
+            li = lcms[g.idx]
+            for lj, ljdiv in values:
+                if lj >= li:
+                    survivors.append(g)
+                    break
+                if (ljdiv - li) & guards == guards:
+                    break
 
         # F criterion: one pair per lcm value; a coprime member kills its class
-        by_lcm: dict[tuple[int, ...], list[int]] = {}
-        for i in survivors:
-            by_lcm.setdefault(lcms[i], []).append(i)
-        for lcm_val, members in sorted(by_lcm.items()):
-            coprime_ok = any(
-                _coprime(self.basis[i].lead_mono, t.lead_mono)
-                and self.basis[i].single_pos
-                and t.single_pos
-                for i in members
-            )
-            if coprime_ok:
+        by_lcm: dict[int, list[_Elt]] = {}
+        for g in survivors:
+            by_lcm.setdefault(lcms[g.idx], []).append(g)
+        sdeg0 = self._pos_degree(t.lead_pos)
+        for lcm_val, members in by_lcm.items():
+            if t.single_pos and any(
+                g.single_pos and not g.support & t.support for g in members
+            ):
                 continue
-            i = min(members)
-            pk = (i, t_idx)
-            self._pair_lcms[pk] = lcm_val
-            heapq.heappush(self._pairs, self._pair_entry(i, t_idx, lcm_val, pos))
+            pk = (members[0].idx, t.idx)
+            pending[pk] = lcm_val
+            heapq.heappush(
+                self._pairs, (codec.degree(lcm_val) + sdeg0, lcm_val) + pk
+            )
 
-    def _append(self, terms: dict) -> None:
-        lead = self._lead_of(terms)
-        terms = self._make_monic(terms, lead)
-        deg = sum(lead[1]) + self._pos_degree(lead[0])
-        elt = _Elt(terms, lead, deg)
-        idx = len(self.basis)
+    def _install(self, terms: dict) -> _Elt:
+        terms = self._monic(terms)
+        elt = _Elt(len(self.basis), terms, next(iter(terms)), self.codec)
         self.basis.append(elt)
-        self._by_pos.setdefault(elt.lead_pos, []).append(idx)
-        self._update_pairs(idx)
+        self._by_pos.setdefault(elt.slot, []).append(elt)
+        return elt
 
     # -- public driving -------------------------------------------------------------
     def seed(self, vectors: Iterable[Vector]) -> None:
@@ -238,96 +368,101 @@ class GroebnerEngine:
         if self.basis or self._pairs:
             raise RuntimeError("seed must come first")
         for v in vectors:
-            if v.is_zero():
-                continue
-            lead = self._lead_of(v.terms)
-            terms = self._make_monic(dict(v.terms), lead)
-            deg = sum(lead[1]) + self._pos_degree(lead[0])
-            elt = _Elt(terms, lead, deg)
-            idx = len(self.basis)
-            self.basis.append(elt)
-            self._by_pos.setdefault(elt.lead_pos, []).append(idx)
+            if not v.is_zero():
+                self._install(self._pack(v.terms))
 
     def add_generator(self, v: Vector) -> bool:
         """Reduce and append; returns True when the reduction is nonzero."""
-        r = self.reduce_terms(v.terms)
+        r = self.reduce_terms(self._pack(v.terms))
         if not r:
             return False
-        self._append(r)
+        self._update_pairs(self._install(r))
         return True
 
     def complete(self) -> None:
-        while self._pairs:
-            entry = heapq.heappop(self._pairs)
-            i, j = entry[2], entry[3]
-            if (i, j) in self._dropped:
-                continue
-            fi, fj = self.basis[i], self.basis[j]
-            lcm = self._pair_lcms[(i, j)]
-            si = tuple(map(lambda a, b: a - b, lcm, fi.lead_mono))
-            sj = tuple(map(lambda a, b: a - b, lcm, fj.lead_mono))
-            ring = self.ring
-            s: dict = {}
-            for (p_, m), c in fi.terms.items():
-                s[(p_, tuple(map(add, m, si)))] = c
-            for (p_, m), c in fj.terms.items():
-                t = (p_, tuple(map(add, m, sj)))
-                nv = ring.coeff_add(s.get(t, 0), ring.coeff_neg(c))
+        p = self.ring.char
+        basis, pairs, pending = self.basis, self._pairs, self._pending
+        while pairs:
+            _, lcm, i, j = heapq.heappop(pairs)
+            fi, fj = basis[i], basis[j]
+            if pending[fi.slot].pop((i, j), None) is None:
+                continue  # dropped by the B criterion
+            if lcm >= fi.limit or lcm >= fj.limit:
+                raise OverflowError(f"S-pair leaves the packed degree range 0..{DEG_MAX}")
+            di, dj = lcm - fi.lead, lcm - fj.lead
+            s = {k + di: c for k, c in fi.terms.items()}
+            for k, c in fj.terms.items():
+                nt = k + dj
+                nv = s.get(nt, 0) - c
+                if p:
+                    nv %= p
                 if nv:
-                    s[t] = nv
+                    s[nt] = nv
                 else:
-                    s.pop(t, None)
+                    s.pop(nt, None)
             r = self.reduce_terms(s)
             if r:
-                self._append(r)
+                self._update_pairs(self._install(r))
+
+    def _minimal_leads(self, elts: Iterable[_Elt]) -> list[_Elt]:
+        """Elements whose lead no other element's lead divides (first of equals)."""
+        divides = self.codec.divides
+        elts = list(elts)
+        by_pos = _by_slot(elts)
+        return [
+            g
+            for g in elts
+            if not any(
+                h is not g
+                and divides(h.lead, g.lead)
+                and (h.lead != g.lead or h.idx < g.idx)
+                for h in by_pos[g.slot]
+            )
+        ]
+
+    def _interreduced(self, keep: list[_Elt]) -> list[dict]:
+        """Each kept element's terms fully reduced by the other kept ones."""
+        by_pos = _by_slot(keep)
+        out = []
+        for g in keep:
+            view = _ReducerView(self, by_pos, g)
+            r = view.reduce_terms(g.terms)
+            if r:
+                out.append(self._monic(r))
+        return out
 
     def reduced_basis(self) -> list[Vector]:
         """Reduced Groebner basis: minimal lead terms, fully tail-reduced,
         sorted by lead term."""
         self.complete()
-        keep: list[int] = []
-        for idx, g in enumerate(self.basis):
-            redundant = False
-            for jdx, h in enumerate(self.basis):
-                if jdx == idx or h.lead_pos != g.lead_pos:
-                    continue
-                if _divides(h.lead_mono, g.lead_mono) and (
-                    h.lead_mono != g.lead_mono or jdx < idx
-                ):
-                    redundant = True
-                    break
-            if not redundant:
-                keep.append(idx)
-        out = []
-        for idx in keep:
-            g = self.basis[idx]
-            others = _ReducerView(self, [k for k in keep if k != idx])
-            r = others.reduce_terms(g.terms)
-            if r:
-                lead = self._lead_of(r)
-                out.append(Vector(self.ring, self._make_monic(r, lead)))
-        out.sort(key=lambda v: self.key(self._lead_of(v.terms)))
-        return out
+        reduced = self._interreduced(self._minimal_leads(self.basis))
+        reduced.sort(key=lambda terms: next(iter(terms)))
+        return [self._vector(r) for r in reduced]
 
 
 class _ReducerView:
-    """Reduction against a subset of an engine's basis (for interreduction)."""
+    """Reduction against the elements of `by_pos` other than `skip` (for
+    interreduction)."""
 
-    def __init__(self, engine: GroebnerEngine, indices: list[int]):
+    def __init__(self, engine: GroebnerEngine, by_pos: dict, skip: _Elt):
         self.ring = engine.ring
-        self.key = engine.key
-        self.basis = engine.basis
-        self._by_pos: dict[int, list[int]] = {}
-        for idx in indices:
-            self._by_pos.setdefault(engine.basis[idx].lead_pos, []).append(idx)
+        self.codec = engine.codec
+        self._by_pos = dict(by_pos)
+        self._by_pos[skip.slot] = [g for g in by_pos[skip.slot] if g is not skip]
 
     reduce_terms = GroebnerEngine.reduce_terms
 
 
-def _neg(key):
-    """Negate an order key for use in a min-heap."""
-    flag, (deg, revneg), negpos = key
-    return (-flag, (-deg, tuple(-x for x in revneg)), -negpos)
+def _by_slot(elts: list[_Elt]) -> dict[int, list[_Elt]]:
+    out: dict[int, list[_Elt]] = {}
+    for g in elts:
+        out.setdefault(g.slot, []).append(g)
+    return out
+
+
+def _integral(c):
+    """A characteristic-zero coefficient as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -395,25 +530,8 @@ def kernel_vectors(
         eng.add_generator(Vector(ring, terms))
     eng.complete()
     # elements led in the source block live entirely in it (elimination order)
-    kernel_idx = [i for i, g in enumerate(eng.basis) if g.lead_pos >= t]
-    keep: list[int] = []
-    for i in kernel_idx:
-        g = eng.basis[i]
-        if not any(
-            j != i
-            and eng.basis[j].lead_pos == g.lead_pos
-            and _divides(eng.basis[j].lead_mono, g.lead_mono)
-            and (eng.basis[j].lead_mono != g.lead_mono or j < i)
-            for j in kernel_idx
-        ):
-            keep.append(i)
-    out = []
-    for i in keep:
-        view = _ReducerView(eng, [j for j in keep if j != i])
-        r = view.reduce_terms(eng.basis[i].terms)
-        if r:
-            lead = max(r, key=eng.key)
-            out.append(Vector(ring, eng._make_monic(r, lead)).restricted(t, t + s, -t))
+    keep = eng._minimal_leads(g for g in eng.basis if g.lead_pos >= t)
+    out = [eng._vector(r).restricted(t, t + s, -t) for r in eng._interreduced(keep)]
     out.sort(key=lambda v: [(p, grevlex_key(m)) for p, m in sorted(v.terms)])
     return out
 

@@ -8,7 +8,7 @@ classic variable-pivot recursion with memoization.
 
 from __future__ import annotations
 
-from .groebner import groebner
+from .groebner import groebner, top_key
 from .modules import HilbertSeries, ModulePresentation
 
 
@@ -84,8 +84,6 @@ def hilbert_series(pres: ModulePresentation, relations_gb=None) -> HilbertSeries
         relations_gb = groebner(ring, pres.relation_vectors, degrees=degrees)
     leads: dict[int, list[tuple[int, ...]]] = {}
     for v in relations_gb:
-        from .groebner import top_key
-
         pos, mono = max(v.terms, key=top_key)
         leads.setdefault(pos, []).append(mono)
     num: dict[int, int] = {}

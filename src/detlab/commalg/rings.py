@@ -64,7 +64,7 @@ class PolyRing:
             return pow(a, self.char - 2, self.char)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return 1 / Fraction(a)
 
     @property
     def zero_mono(self) -> tuple[int, ...]:

@@ -6,8 +6,10 @@ the cross-check below); tolerances are exact integer / exact series equality
 throughout.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,13 +129,18 @@ def test_criterion_9_oracle_cross_checks():
 def test_criterion_10_negative_controls():
     cases = suite.negative_control_cases()
     ok = all(c["pass"] for c in cases)
+    # the child must import this checkout's package, or exit 1 means nothing
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     r = subprocess.run(
         [sys.executable, "-m", "detlab", "suite", "--profile", "quick",
          "--inject-corruption"],
         capture_output=True,
         text=True,
+        env=env,
     )
-    corrupted_fails = r.returncode == 1
+    corrupted_fails = r.returncode == 1 and "Traceback" not in r.stderr
     report(
         "10 negative controls (bad module FAILs; corrupted suite exits 1)",
         ok and corrupted_fails,

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 CMD = [sys.executable, "-m", "detlab"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(*args, env_extra=None):
     env = dict(os.environ)
+    # the CLI runs in a child process: let it import this checkout's package
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
