@@ -30,7 +30,7 @@ from .detvar import (
     rank_check,
     wedge_module,
 )
-from .partitions import Partition, enumerate_box
+from .partitions import Partition, all_partitions, enumerate_box
 from .schurcalc import lr_coefficients
 
 REPORT_VERSION = 1
@@ -248,7 +248,7 @@ def handle(args) -> tuple[dict, int, list[dict], bool]:
         deltas = (
             [parse_shape(args.delta)]
             if args.delta is not None
-            else suite.partitions_up_to(args.delta_max, max_rows=args.l)
+            else all_partitions(args.delta_max, max_rows=args.l)
         )
         cases = []
         for alpha in alphas:

@@ -6,7 +6,6 @@ from .groebner import (
     grevlex_key,
     groebner,
     groebner_ideal,
-    ideal_to_vectors,
     kernel_vectors,
     minimal_generators,
     normal_form,
@@ -17,7 +16,6 @@ from .hilbert import free_module_series, hilbert_series
 from .homs import (
     HomModule,
     cokernel_is_zero,
-    dual_module,
     hom_module,
     matrix_rank,
     membership_engine,
@@ -38,5 +36,5 @@ from .modules import (
     ring_from_json,
     ring_to_json,
 )
-from .resolution import Resolution, free_resolution, projective_dimension
+from .resolution import Resolution, free_resolution
 from .rings import Polynomial, PolyRing, poly_det

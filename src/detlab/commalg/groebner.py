@@ -491,15 +491,6 @@ def groebner_ideal(ring: PolyRing, polys) -> list:
     return [Polynomial(ring, {m: c for (_, m), c in v.terms.items()}) for v in gb]
 
 
-def ideal_to_vectors(ring: PolyRing, polys, rank: int, positions=None) -> list[Vector]:
-    """Embed ideal generators at every position of a rank-`rank` module."""
-    out = []
-    for pos in positions if positions is not None else range(rank):
-        for p in polys:
-            out.append(Vector(ring, {(pos, m): c for m, c in p.terms.items()}))
-    return out
-
-
 def normal_form(ring: PolyRing, v: Vector, basis: Iterable[Vector],
                 key: Callable[[Term], tuple] = top_key) -> Vector:
     """Normal form against an arbitrary basis (assumed a Groebner basis)."""

@@ -135,13 +135,6 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> HomModule:
     )
 
 
-def dual_module(M: ModulePresentation, over: ModulePresentation | None = None) -> HomModule:
-    """Hom(M, ring) by default, or Hom(M, over) for a quotient-ring dual."""
-    if over is None:
-        over = ModulePresentation.of_free(FreeModule(M.ring, (0,)))
-    return hom_module(M, over)
-
-
 def membership_engine(ring: PolyRing, vectors, degrees) -> GroebnerEngine:
     eng = GroebnerEngine(ring, top_key, degrees)
     for v in vectors:
@@ -163,10 +156,6 @@ def cokernel_is_zero(columns: list[Vector], N: ModulePresentation) -> bool:
         eng.normal_form(N.generators.basis_vector(i)).is_zero()
         for i in range(N.generators.rank)
     )
-
-
-def modulo_zero(v: Vector, submodule_engine: GroebnerEngine) -> bool:
-    return submodule_engine.normal_form(v).is_zero()
 
 
 def random_rank(fmap: ModuleMap, point) -> int:

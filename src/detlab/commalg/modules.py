@@ -109,9 +109,6 @@ class Vector:
             {(p + offset, m): c for (p, m), c in self.terms.items() if lo <= p < hi},
         )
 
-    def sort_key(self):
-        return sorted(self.terms.items(), key=lambda t: t[0])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.terms == other.terms
 
@@ -256,9 +253,6 @@ class HilbertSeries:
 
     numerator: dict[int, int]
     denom_power: int
-
-    def copy(self) -> "HilbertSeries":
-        return HilbertSeries(dict(self.numerator), self.denom_power)
 
     def canonical(self) -> "HilbertSeries":
         num = {d: c for d, c in self.numerator.items() if c}

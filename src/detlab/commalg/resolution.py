@@ -23,7 +23,6 @@ class Resolution:
 
     f0: FreeModule
     maps: list[ModuleMap]
-    minimal: bool
 
     @property
     def length(self) -> int:
@@ -128,17 +127,16 @@ def _minimize(f0: FreeModule, maps: list[ModuleMap]) -> tuple[FreeModule, list[M
     return f0, maps
 
 
-def free_resolution(
-    pres: ModulePresentation, minimal: bool = True, max_length: int | None = None
-) -> Resolution:
-    """Graded free resolution of the presented module.
+def free_resolution(pres: ModulePresentation) -> Resolution:
+    """Minimal graded free resolution of the presented module.
 
     Each kernel is trimmed to minimal generators, so with a minimally
-    generated presentation the output is already minimal; `minimal=True`
-    additionally clears any constant entries left by redundant generators.
+    generated presentation the output is already minimal; a final pass
+    clears any constant entries left by redundant generators.  Raises
+    RuntimeError if more than nvars + 1 steps are needed or if the
+    differentials do not compose to zero.
     """
     ring = pres.ring
-    cap = max_length if max_length is not None else ring.nvars + 1
     f0 = pres.generators
     rel = [v for v in pres.relation_vectors if not v.is_zero()]
     maps: list[ModuleMap] = []
@@ -150,16 +148,12 @@ def free_resolution(
         degs = tuple(v.degree(current.degrees) for v in ming)
         step = ModuleMap(FreeModule(ring, degs), current, ming)
         maps.append(step)
-        if len(maps) > cap:
+        if len(maps) > ring.nvars + 1:
             raise RuntimeError("resolution exceeded the expected length bound")
         rel = kernel_vectors(step)
         current = step.source
-    if minimal:
-        f0, maps = _minimize(f0, maps)
-    res = Resolution(f0, maps, minimal)
-    assert res.verify_complex()
+    f0, maps = _minimize(f0, maps)
+    res = Resolution(f0, maps)
+    if not res.verify_complex():
+        raise RuntimeError("resolution differentials do not compose to zero")
     return res
-
-
-def projective_dimension(pres: ModulePresentation) -> int:
-    return free_resolution(pres, minimal=True).length

@@ -30,6 +30,7 @@ from .commalg import (
     matrix_rank,
     membership_engine,
     poly_det,
+    random_rank,
 )
 from .partitions import Partition, conjugate, enumerate_box
 
@@ -226,19 +227,6 @@ def wedge_module(setup: DetSetup, shape) -> ImageModule:
     the quotient ring itself."""
     shape = Partition.of(shape)
     return _image_module(setup, shape, wedge_alpha_map(setup, shape))
-
-
-def annihilator_check(module: ImageModule) -> bool:
-    """Every minor kills every generator modulo the relations."""
-    setup = module.setup
-    pres = module.presentation
-    eng = membership_engine(setup.ring, pres.relation_vectors, pres.gen_degrees)
-    for p in setup.minors:
-        for i in range(pres.generators.rank):
-            v = pres.generators.basis_vector(i).poly_scaled(p)
-            if not eng.normal_form(v).is_zero():
-                return False
-    return True
 
 
 def tilting_summands(setup: DetSetup) -> list[ImageModule]:
@@ -505,12 +493,7 @@ def rank_check(module: ImageModule, trials: int = 5, seed: int = DEFAULT_SEED) -
             flat = [ring.coeff(x0[i][j]) for i in range(setup.m) for j in range(setup.n)]
             if matrix_rank(ring, [[ring.coeff(e) for e in row] for row in x0]) == setup.l:
                 break
-        fmap = module.fmap
-        mat = [
-            [fmap.entry(r, c).evaluate(flat) for c in range(fmap.source.rank)]
-            for r in range(fmap.target.rank)
-        ]
-        ranks.append(matrix_rank(ring, mat))
+        ranks.append(random_rank(module.fmap, flat))
     return RankCheckResult(tuple(module.shape.parts), predicted, ranks, seed)
 
 
@@ -523,29 +506,6 @@ class EndomorphismRing:
     setup: DetSetup
     summands: list[ImageModule]
     blocks: dict[tuple[int, int], HomModule]
-
-    def block_series_sum(self) -> HilbertSeries:
-        total: HilbertSeries | None = None
-        for key in sorted(self.blocks):
-            s = hilbert_series(self.blocks[key])
-            total = s if total is None else total + s
-        return total if total is not None else HilbertSeries({}, 0)
-
-    def assembled(self) -> ModulePresentation:
-        """Block-diagonal presentation of the direct sum of all Hom blocks."""
-        ring = self.setup.ring
-        gen_degs: list[int] = []
-        offsets = {}
-        for key in sorted(self.blocks):
-            offsets[key] = len(gen_degs)
-            gen_degs.extend(self.blocks[key].gen_degrees)
-        rels = []
-        for key in sorted(self.blocks):
-            off = offsets[key]
-            for v in self.blocks[key].relation_vectors:
-                rels.append(v.shifted_positions(off))
-        gens = FreeModule(ring, tuple(gen_degs))
-        return ModulePresentation.from_relations(gens, rels)
 
 
 def endomorphism_ring(setup: DetSetup, summands: list[ImageModule] | None = None) -> EndomorphismRing:
@@ -734,35 +694,35 @@ def series_shift(a: HilbertSeries, b: HilbertSeries) -> int | None:
 def check_end_dual(setup: DetSetup) -> EndDualReport:
     """The dual summands permute by the box complement: Hom blocks of the
     duals match Hom blocks of the complements up to one uniform degree shift,
-    and the total endomorphism series is unchanged by dualizing."""
-    if setup.m > setup.n:
-        raise ValueError("requires m <= n")
-    box = setup.box()
+    and the total endomorphism series is unchanged by dualizing.
+
+    The straight blocks Hom(T_a, T_b) are those of `endomorphism_ring`; the
+    complement side of each pair is a lookup among them, since complementing
+    permutes the box.  A complement that leaves the box fails the involution
+    check and gives its pairs shift None.
+    """
+    end = endomorphism_ring(setup)
+    box = [t.shape for t in end.summands]
+    idx = {a: i for i, a in enumerate(box)}
     width = setup.m - setup.l
     comp = {a: box_complement(a, setup.l, width) for a in box}
     involution_ok = all(
-        box_complement(comp[a], setup.l, width) == a and comp[a] in box for a in box
+        comp[a] in idx and box_complement(comp[a], setup.l, width) == a for a in box
     )
+    series = {key: hilbert_series(block) for key, block in end.blocks.items()}
     rq = quotient_presentation(setup)
-    summands = {a: wedge_module(setup, a) for a in box}
-    duals = {a: hom_module(summands[a].presentation, rq) for a in box}
+    duals = [hom_module(t.presentation, rq) for t in end.summands]
     shifts: dict = {}
     total_dual: HilbertSeries | None = None
-    total_straight: HilbertSeries | None = None
-    for a in box:
-        for b in box:
-            lhs = hilbert_series(hom_module(duals[a], duals[b]))
-            rhs = hilbert_series(
-                hom_module(summands[comp[a]].presentation, summands[comp[b]].presentation)
-            )
-            shifts[(a.parts, b.parts)] = series_shift(lhs, rhs)
+    for i, a in enumerate(box):
+        for j, b in enumerate(box):
+            lhs = hilbert_series(hom_module(duals[i], duals[j]))
+            rhs = series.get((idx.get(comp[a]), idx.get(comp[b])))
+            shifts[(a.parts, b.parts)] = None if rhs is None else series_shift(lhs, rhs)
             total_dual = lhs if total_dual is None else total_dual + lhs
-            straight = hilbert_series(
-                hom_module(summands[a].presentation, summands[b].presentation)
-            )
-            total_straight = (
-                straight if total_straight is None else total_straight + straight
-            )
+    total_straight: HilbertSeries | None = None
+    for s in series.values():
+        total_straight = s if total_straight is None else total_straight + s
     values = set(shifts.values())
     uniform = None not in values and len(values) == 1
     totals_equal = total_dual == total_straight

@@ -135,7 +135,11 @@ def enumerate_box(u: int, v: int) -> BoxSet:
     if u < 1 or v < 1:
         raise ValueError("box dimensions must be positive")
     members = sorted(Partition(t) for t in _box_parts(u, v, v))
-    assert len(members) == math.comb(u + v, u)
+    if len(members) != math.comb(u + v, u):
+        raise RuntimeError(
+            f"{len(members)} partitions in the {u} x {v} box, expected "
+            f"binomial({u + v}, {u})"
+        )
     return BoxSet(u, v, tuple(members))
 
 
@@ -164,7 +168,8 @@ def weyl_dim(w, length: int | None = None) -> int:
             num *= entries[i] - entries[j] + j - i
             den *= j - i
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise RuntimeError(f"Weyl product for {entries} is not an integer")
     return q
 
 

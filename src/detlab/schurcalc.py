@@ -232,8 +232,9 @@ def exterior_expand(alpha, l: int) -> SchurSum:
     out = SchurSum(l)
     for shape, mult in current.items():
         out.add(Partition(shape).padded(l), mult)
-    if alpha.padded(l) in out.terms:
-        assert out.terms[alpha.padded(l)] == 1
+    mult = out.terms.get(alpha.padded(l), 1)
+    if mult != 1:
+        raise RuntimeError(f"{alpha.parts} has multiplicity {mult} in its own expansion")
     return out
 
 

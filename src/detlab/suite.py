@@ -29,7 +29,7 @@ from .detvar import (
     rank_check,
     wedge_module,
 )
-from .partitions import Partition, all_partitions, enumerate_box
+from .partitions import all_partitions, enumerate_box
 from .schurcalc import (
     cauchy_expand,
     lr_coefficients,
@@ -64,15 +64,11 @@ def tilt_grass_cases(grid: Iterable[tuple[int, int]] = TILT_GRASS_GRID) -> list[
     return out
 
 
-def partitions_up_to(size: int, max_rows: int | None = None) -> list[Partition]:
-    return all_partitions(size, max_rows)
-
-
 def prop31_cases(max_m: int = 5, delta_max: int = 6) -> list[dict]:
     out = []
     for m in range(2, max_m + 1):
         for l in range(1, m):
-            deltas = partitions_up_to(delta_max, max_rows=l)
+            deltas = all_partitions(delta_max, max_rows=l)
             bad = 0
             count = 0
             for alpha in enumerate_box(l, m - l):
@@ -233,7 +229,7 @@ def rank_cases(grid=MCM_GRID, seeds: int = 5, base_seed: int = DEFAULT_SEED) -> 
 
 
 def lr_character_cases(max_total: int = 6, nvars: int = 3) -> list[dict]:
-    shapes = [p for p in partitions_up_to(max_total)]
+    shapes = all_partitions(max_total)
     bad = 0
     count = 0
     for a in shapes:
@@ -279,12 +275,11 @@ def resolution_complex_cases(grid=((2, 3, 1), (3, 3, 2))) -> list[dict]:
         setup = generic_setup(m, n, l)
         ok = True
         for alpha in setup.box():
-            res = free_resolution(wedge_module(setup, alpha).presentation)
+            pres = wedge_module(setup, alpha).presentation
+            res = free_resolution(pres)
             if not res.verify_complex():
                 ok = False
-            if res.euler_series() != hilbert_series(
-                wedge_module(setup, alpha).presentation
-            ):
+            if res.euler_series() != hilbert_series(pres):
                 ok = False
         out.append(_case(f"resolution-consistency m={m} n={n} l={l}", ok))
     return out

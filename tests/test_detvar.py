@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,6 @@ from detlab.commalg import (
 )
 from detlab.detvar import (
     ImageModule,
-    annihilator_check,
     box_complement,
     certify_end_mcm,
     certify_mcm,
@@ -165,7 +166,8 @@ def test_annihilation():
     for m, n, l in [(2, 3, 1), (3, 3, 2)]:
         s = generic_setup(m, n, l)
         for alpha in s.box():
-            assert annihilator_check(wedge_module(s, alpha))
+            mod = wedge_module(s, alpha)
+            assert certify_mcm(mod.presentation, s, alpha).annihilated
 
 
 def test_certify_mcm_examples():
@@ -286,8 +288,6 @@ def test_endomorphism_ring_structure():
     s = generic_setup(2, 3, 1)
     end = endomorphism_ring(s)
     assert len(end.blocks) == 4
-    assembled = end.assembled()
-    assert hilbert_series(assembled) == end.block_series_sum()
     certs = certify_end_mcm(end)
     assert all(c.passed for c in certs.values())
 
@@ -325,3 +325,33 @@ def test_check_end_dual_small():
     rep = check_end_dual(generic_setup(2, 2, 1))
     assert rep.passed
     assert set(rep.pair_shifts.values()) == {0}
+
+
+FROZEN_REPORTS = Path(__file__).resolve().parent / "data" / "frozen_reports.json"
+
+
+@pytest.mark.parametrize("m,n,l,char", [(2, 3, 1, 0), (3, 3, 2, 0), (3, 3, 1, 32003)])
+def test_end_dual_and_flip_reports_are_frozen(m, n, l, char):
+    frozen = json.loads(FROZEN_REPORTS.read_text())
+    s = generic_setup(m, n, l, char=char)
+    for name, check in (("check-end-dual", check_end_dual), ("check-flip", check_flip)):
+        want = json.dumps(frozen[f"{name} m={m} n={n} l={l} char={char}"], indent=2)
+        assert json.dumps(check(s).to_json(), indent=2) == want
+
+
+def test_check_end_dual_complement_outside_box_fails(monkeypatch):
+    import detlab.detvar as dv
+
+    real = dv.box_complement
+
+    def leaky(shape, l, width):
+        if Partition.of(shape).parts == (1,):
+            return Partition((width + 1,))
+        return real(shape, l, width)
+
+    monkeypatch.setattr(dv, "box_complement", leaky)
+    rep = check_end_dual(generic_setup(2, 2, 1))
+    assert rep.involution_ok is False
+    assert not rep.passed
+    assert rep.pair_shifts[((1,), ())] is None
+    assert rep.to_json()["pass"] is False

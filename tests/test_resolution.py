@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from detlab.commalg import (
     FreeModule,
@@ -13,6 +18,7 @@ from detlab.commalg import (
 from detlab.detvar import generic_setup, quotient_presentation, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def ideal_pres(ring, polys, gens=1):
@@ -144,3 +150,47 @@ def test_degenerate_modules():
     # zero relations on a nonzero module
     free = ModulePresentation.of_free(FreeModule(R2, (0,)))
     assert free_resolution(free).length == 0
+
+
+def test_perturbed_syzygy_fails_under_optimize():
+    """The complex check is an explicit raise, so `python -O` keeps it: a
+    second syzygy with one doubled coefficient must make free_resolution
+    fail."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from detlab.commalg import Vector, resolution
+        from detlab.detvar import generic_setup, wedge_module
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        pres = wedge_module(generic_setup(2, 3, 1), (1,)).presentation
+        real = resolution.kernel_vectors
+        done = []
+
+        def perturbed(*args, **kwargs):
+            vecs = real(*args, **kwargs)
+            if vecs and not done:
+                done.append(True)
+                v = vecs[0]
+                t, c = min(v.terms.items())
+                vecs[0] = Vector(v.ring, {**v.terms, t: v.ring.coeff_add(c, c)})
+            return vecs
+
+        resolution.kernel_vectors = perturbed
+        try:
+            resolution.free_resolution(pres)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("free_resolution accepted a perturbed syzygy")
+        """
+    )
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert r.returncode == 0, r.stderr
+    assert "do not compose to zero" in r.stdout
