@@ -6,6 +6,10 @@ term comes from the dotted Weyl-group action on the concatenated weight: add
 rho = (m-1, ..., 0); a repeated entry kills everything, otherwise the unique
 nonzero degree is the inversion count.
 
+Every vanishing checker runs one loop: it builds the Q-side Schur sum of each
+case (Hom pairs once per call, tensored with Sym_t(aux x Q) degree by degree
+where the check is degreewise) and takes its cohomology term by term.
+
 Everything here is characteristic zero and every report says so.
 """
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .partitions import Partition, conjugate, enumerate_box, weyl_dim
-from .schurcalc import SchurSum, cauchy_expand, tensor_weights
+from .schurcalc import SchurSum, cauchy_expand
 
 CHAR_ZERO_NOTE = "characteristic-zero cohomology oracle"
 
@@ -46,14 +50,6 @@ def schur_q(weight: tuple[int, ...]):
 
 def wedge_r(b: int):
     return ("r", ("wedge", b))
-
-
-def det_r(k: int):
-    return ("r", ("det", k))
-
-
-def schur_r(weight: tuple[int, ...]):
-    return ("r", ("schur", tuple(weight)))
 
 
 @dataclass(frozen=True)
@@ -94,27 +90,19 @@ class BundleExpression:
             return w
         raise ValueError(f"unknown factor kind {kind}")
 
+    def _sums(self) -> tuple[SchurSum, SchurSum]:
+        """The Q-side and R-side Schur sums whose product is this bundle."""
+        sums = {"q": SchurSum.unit(self.l), "r": SchurSum.unit(self.m - self.l)}
+        for side, spec in self.factors:
+            factor = SchurSum(sums[side].rank)
+            factor.add(self._factor_weight(side, spec))
+            sums[side] = sums[side].tensor(factor)
+        return sums["q"], sums["r"]
+
     def normalize(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """Expand to pure terms (q_weight, r_weight, multiplicity)."""
-        qsum = SchurSum.unit(self.l)
-        rsum = SchurSum.unit(self.m - self.l)
-        for side, spec in self.factors:
-            w = self._factor_weight(side, spec)
-            target = qsum if side == "q" else rsum
-            rank = target.rank
-            nxt = SchurSum(rank)
-            for x, mult in target.terms.items():
-                for z, mz in tensor_weights(x, w, rank).terms.items():
-                    nxt.add(z, mult * mz)
-            if side == "q":
-                qsum = nxt
-            else:
-                rsum = nxt
-        out = []
-        for x, mx in qsum.items():
-            for y, my in rsum.items():
-                out.append((x, y, mx * my))
-        return out
+        qsum, rsum = self._sums()
+        return [(x, y, mx * my) for x, mx in qsum.items() for y, my in rsum.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +168,18 @@ def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> Cohom
     return table
 
 
+def _cohomology(m: int, qsum: SchurSum, rsum: SchurSum) -> CohomologyTable:
+    """Cohomology of qsum(Q) x rsum(R) on Grass(qsum.rank, m), term by pure term."""
+    table = CohomologyTable(m)
+    for x, mx in qsum.items():
+        for y, my in rsum.items():
+            table.merge(bott_cohomology(qsum.rank, m, x, y), scale=mx * my)
+    return table
+
+
 def cohomology_of(expr: BundleExpression) -> CohomologyTable:
     """Cohomology of a bundle expression, term by pure term."""
-    table = CohomologyTable(expr.m)
-    for x, y, mult in expr.normalize():
-        table.merge(bott_cohomology(expr.l, expr.m, x, y), scale=mult)
-    return table
+    return _cohomology(expr.m, *expr._sums())
 
 
 def serre_dual_term(l: int, m: int, x: tuple[int, ...], y: tuple[int, ...]):
@@ -236,11 +230,44 @@ def _report(check: str, parameters: dict, cases: list[CheckCase]) -> CheckReport
     return CheckReport(check, parameters, cases, all(c.passed for c in cases))
 
 
-def _hom_factors(alpha: Partition, beta: Partition):
-    """Factors of Hom(wedge^{alpha'}Q, wedge^{beta'}Q)."""
-    out = [wedge_q_dual(a) for a in conjugate(alpha).parts]
-    out += [wedge_q(b) for b in conjugate(beta).parts]
-    return out
+def _case(inputs: dict, m: int, qsum: SchurSum, rsum: SchurSum) -> CheckCase:
+    table = _cohomology(m, qsum, rsum)
+    return CheckCase(inputs, table.degrees(), table.vanishes_above(0))
+
+
+def _dual_wedges(alpha: Partition) -> list:
+    """Factors of (wedge^{alpha'}Q)^dual."""
+    return [wedge_q_dual(a) for a in conjugate(alpha).parts]
+
+
+def _hom_pairs(l: int, m: int, twist: tuple = ()):
+    """Yield (inputs, Schur sums) of Hom(wedge^{alpha'}Q, wedge^{beta'}Q),
+    tensored with the twist factors, for every pair in the l x (m-l) box."""
+    box = enumerate_box(l, m - l)
+    for alpha in box:
+        for beta in box:
+            factors = _dual_wedges(alpha) + [wedge_q(b) for b in conjugate(beta).parts]
+            yield (
+                {"alpha": list(alpha.parts), "beta": list(beta.parts)},
+                BundleExpression(l, m, tuple(factors) + twist)._sums(),
+            )
+
+
+def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
+                pairs: list) -> CheckReport:
+    """One case per degree t <= t_max and per (inputs, Schur sums) pair: the
+    pair's Q side tensored with Sym_t(aux x Q), aux trivial of dim aux_dim,
+    has no higher cohomology."""
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    cases = []
+    for t in range(t_max + 1):
+        sym = SchurSum(l)
+        for g, (_, dim_aux) in cauchy_expand(t, l, aux_dim):
+            sym.add(g.padded(l), dim_aux)
+        for inputs, (qsum, rsum) in pairs:
+            cases.append(_case({"t": t, **inputs}, m, qsum.tensor(sym), rsum))
+    return _report(check, {"l": l, "m": m, "n": n, "t_max": t_max}, cases)
 
 
 def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
@@ -251,13 +278,11 @@ def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
         raise ValueError(f"{alpha.parts} does not fit in the {l} x {m - l} box")
     if len(delta) > l:
         raise ValueError(f"{delta.parts} has more than {l} rows")
-    factors = [wedge_q_dual(a) for a in conjugate(alpha).parts]
-    factors.append(schur_q(delta.padded(l)))
-    table = cohomology_of(BundleExpression(l, m, tuple(factors)))
-    case = CheckCase(
+    factors = _dual_wedges(alpha) + [schur_q(delta.padded(l))]
+    case = _case(
         {"alpha": list(alpha.parts), "delta": list(delta.parts)},
-        table.degrees(),
-        table.vanishes_above(0),
+        m,
+        *BundleExpression(l, m, tuple(factors))._sums(),
     )
     return _report("hom-vanishing", {"l": l, "m": m}, [case])
 
@@ -265,28 +290,8 @@ def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
 def check_tilting_grass(l: int, m: int) -> CheckReport:
     """No higher self-extensions between box wedge powers of Q: for every
     pair (alpha, beta) in the box, H^{>0}(Hom(wedge^{alpha'}Q, wedge^{beta'}Q)) = 0."""
-    box = enumerate_box(l, m - l)
-    cases = []
-    for alpha in box:
-        for beta in box:
-            table = cohomology_of(BundleExpression(l, m, tuple(_hom_factors(alpha, beta))))
-            cases.append(
-                CheckCase(
-                    {"alpha": list(alpha.parts), "beta": list(beta.parts)},
-                    table.degrees(),
-                    table.vanishes_above(0),
-                )
-            )
+    cases = [_case(inputs, m, *sums) for inputs, sums in _hom_pairs(l, m)]
     return _report("tilting-grassmannian", {"l": l, "m": m}, cases)
-
-
-def _sym_degree_terms(t: int, bundle_rank: int, aux_dim: int):
-    """Degree-t piece of Sym(aux x Q) with aux a trivial aux_dim-dim factor:
-    pairs (shape, multiplicity = dim of the aux-side Schur module)."""
-    out = []
-    for g, (dim_bundle, dim_aux) in cauchy_expand(t, bundle_rank, aux_dim):
-        out.append((g, dim_aux))
-    return out
 
 
 def check_tilting_springer(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
@@ -295,28 +300,7 @@ def check_tilting_springer(l: int, m: int, n: int, t_max: int = 3) -> CheckRepor
     has no higher cohomology, for t <= t_max."""
     if not (1 <= l < min(m, n)):
         raise ValueError("need 1 <= l < min(m, n)")
-    box = enumerate_box(l, m - l)
-    cases = []
-    for t in range(t_max + 1):
-        sym_terms = _sym_degree_terms(t, l, n)
-        for alpha in box:
-            for beta in box:
-                table = CohomologyTable(m)
-                for g, mult in sym_terms:
-                    factors = _hom_factors(alpha, beta) + [schur_q(g.padded(l))]
-                    table.merge(
-                        cohomology_of(BundleExpression(l, m, tuple(factors))), scale=mult
-                    )
-                cases.append(
-                    CheckCase(
-                        {"t": t, "alpha": list(alpha.parts), "beta": list(beta.parts)},
-                        table.degrees(),
-                        table.vanishes_above(0),
-                    )
-                )
-    return _report(
-        "tilting-springer", {"l": l, "m": m, "n": n, "t_max": t_max}, cases
-    )
+    return _degreewise("tilting-springer", l, m, n, t_max, n, list(_hom_pairs(l, m)))
 
 
 def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
@@ -326,30 +310,8 @@ def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int = 3) -> CheckRe
         raise ValueError("requires m <= n")
     if not 1 <= l < m:
         raise ValueError("need 1 <= l < m")
-    box = enumerate_box(l, m - l)
-    cases = []
-    for t in range(t_max + 1):
-        sym_terms = _sym_degree_terms(t, l, n)
-        for alpha in box:
-            for beta in box:
-                table = CohomologyTable(m)
-                for g, mult in sym_terms:
-                    factors = _hom_factors(alpha, beta)
-                    factors.append(det_q(n - m))
-                    factors.append(schur_q(g.padded(l)))
-                    table.merge(
-                        cohomology_of(BundleExpression(l, m, tuple(factors))), scale=mult
-                    )
-                cases.append(
-                    CheckCase(
-                        {"t": t, "alpha": list(alpha.parts), "beta": list(beta.parts)},
-                        table.degrees(),
-                        table.vanishes_above(0),
-                    )
-                )
-    return _report(
-        "dualizing-vanishing", {"l": l, "m": m, "n": n, "t_max": t_max}, cases
-    )
+    pairs = list(_hom_pairs(l, m, (det_q(n - m),)))
+    return _degreewise("dualizing-vanishing", l, m, n, t_max, n, pairs)
 
 
 def check_fm_kernel(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
@@ -360,23 +322,8 @@ def check_fm_kernel(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
         raise ValueError("requires m <= n")
     if not 1 <= l < m:
         raise ValueError("need 1 <= l < m")
-    box = enumerate_box(l, m - l)
-    cases = []
-    for t in range(t_max + 1):
-        sym_terms = _sym_degree_terms(t, l, l)
-        for alpha in box:
-            table = CohomologyTable(m)
-            for g, mult in sym_terms:
-                factors = [wedge_q_dual(a) for a in conjugate(alpha).parts]
-                factors.append(schur_q(g.padded(l)))
-                table.merge(
-                    cohomology_of(BundleExpression(l, m, tuple(factors))), scale=mult
-                )
-            cases.append(
-                CheckCase(
-                    {"t": t, "alpha": list(alpha.parts)},
-                    table.degrees(),
-                    table.vanishes_above(0),
-                )
-            )
-    return _report("fm-kernel-vanishing", {"l": l, "m": m, "n": n, "t_max": t_max}, cases)
+    pairs = [
+        ({"alpha": list(alpha.parts)}, BundleExpression(l, m, tuple(_dual_wedges(alpha)))._sums())
+        for alpha in enumerate_box(l, m - l)
+    ]
+    return _degreewise("fm-kernel-vanishing", l, m, n, t_max, l, pairs)

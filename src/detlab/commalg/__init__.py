@@ -15,7 +15,6 @@ from .groebner import (
 from .hilbert import free_module_series, hilbert_series
 from .homs import (
     HomModule,
-    cokernel_is_zero,
     hom_module,
     matrix_rank,
     membership_engine,

@@ -36,17 +36,6 @@ class HomModule(ModulePresentation):
     ambient: FreeModule = None
     hom_generators: list[Vector] = None
 
-    def element_columns(self, idx: int) -> list[Vector]:
-        """Generator idx as a tuple of columns in the generator module of the
-        target (one column per source generator)."""
-        b0 = self.target.generators.rank
-        a0 = self.source.generators.rank
-        v = self.hom_generators[idx]
-        cols = []
-        for k in range(a0):
-            cols.append(v.restricted(k * b0, (k + 1) * b0, -k * b0))
-        return cols
-
 
 def _ambient(M: ModulePresentation, N: ModulePresentation) -> FreeModule:
     degs = []
@@ -57,10 +46,9 @@ def _ambient(M: ModulePresentation, N: ModulePresentation) -> FreeModule:
 
 
 def _embedded_relation_gb(N: ModulePresentation, blocks: int,
-                          gb: list[Vector] | None = None) -> list[Vector]:
-    """Groebner basis of the relation submodule of N^blocks (block-diagonal)."""
-    if gb is None:
-        gb = groebner(N.ring, N.relation_vectors, degrees=N.gen_degrees)
+                          gb: list[Vector]) -> list[Vector]:
+    """Groebner basis of the relation submodule of N^blocks (block-diagonal),
+    from a Groebner basis `gb` of N's relations."""
     b0 = N.generators.rank
     out = []
     for blk in range(blocks):
@@ -141,21 +129,6 @@ def membership_engine(ring: PolyRing, vectors, degrees) -> GroebnerEngine:
         eng.add_generator(v)
     eng.complete()
     return eng
-
-
-def cokernel_is_zero(columns: list[Vector], N: ModulePresentation) -> bool:
-    """Does the map into N with the given images of generators surject?
-
-    The cokernel N / (image + relations) vanishes iff every generator of N
-    reduces to zero against image columns plus relations.
-    """
-    eng = membership_engine(
-        N.ring, list(columns) + N.relation_vectors, N.gen_degrees
-    )
-    return all(
-        eng.normal_form(N.generators.basis_vector(i)).is_zero()
-        for i in range(N.generators.rank)
-    )
 
 
 def random_rank(fmap: ModuleMap, point) -> int:

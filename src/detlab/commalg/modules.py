@@ -44,9 +44,6 @@ class Vector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def positions(self):
-        return {pos for pos, _ in self.terms}
-
     def component(self, pos: int) -> Polynomial:
         return Polynomial(
             self.ring, {m: c for (p, m), c in self.terms.items() if p == pos}
@@ -58,9 +55,6 @@ class Vector:
         if len(degs) > 1:
             raise ValueError(f"vector is not homogeneous: degrees {sorted(degs)}")
         return degs.pop() if degs else 0
-
-    def is_homogeneous(self, degrees: tuple[int, ...]) -> bool:
-        return len({sum(m) + degrees[p] for (p, m) in self.terms}) <= 1
 
     def __add__(self, other: "Vector") -> "Vector":
         ring = self.ring
@@ -191,23 +185,8 @@ class ModuleMap:
                 cols.append(Vector(ring, terms))
         return ModuleMap(src, tgt, cols)
 
-    def transpose(self) -> "ModuleMap":
-        entries = self.entries()
-        t = [[entries[r][c] for r in range(self.target.rank)] for c in range(self.source.rank)]
-        # transposing swaps the grading roles; negate degrees to stay homogeneous
-        src = FreeModule(self.source.ring, tuple(-d for d in self.target.degrees))
-        tgt = FreeModule(self.source.ring, tuple(-d for d in self.source.degrees))
-        return ModuleMap.from_entries(src, tgt, t)
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.columns)
-
-    def is_homogeneous(self) -> bool:
-        return all(
-            c.is_homogeneous(self.target.degrees)
-            and (c.is_zero() or c.degree(self.target.degrees) == self.source.degrees[i])
-            for i, c in enumerate(self.columns)
-        )
 
 
 @dataclass

@@ -104,14 +104,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         ring = self.ring
         out = dict(self.terms)

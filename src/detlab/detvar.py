@@ -473,6 +473,8 @@ class RankCheckResult:
 def rank_check(module: ImageModule, trials: int = 5, seed: int = DEFAULT_SEED) -> RankCheckResult:
     """Specialize the generic matrix to random rank-l points and compare the
     wedge-map rank with the product of column binomials."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     setup = module.setup
     ring = setup.ring
     rng = random.Random(seed)

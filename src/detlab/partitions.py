@@ -61,9 +61,6 @@ class Partition:
             raise ValueError(f"cannot pad {self.parts} to length {length}")
         return self.parts + (0,) * (length - len(self.parts))
 
-    def contains(self, other: "Partition") -> bool:
-        return all(self.part(i) >= p for i, p in enumerate(other.parts))
-
     def fits_in_box(self, rows: int, cols: int) -> bool:
         return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)
 
@@ -76,26 +73,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition{self.parts}"
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    @property
-    def dominant(self) -> bool:
-        e = self.entries
-        return all(e[i] >= e[i + 1] for i in range(len(e) - 1))
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -150,7 +127,7 @@ def weyl_dim(w, length: int | None = None) -> int:
     division done last so every intermediate stays an exact integer.
     Invariant under adding a constant to all entries.
     """
-    entries = tuple(w.entries) if isinstance(w, WeightVector) else tuple(int(x) for x in w)
+    entries = tuple(int(x) for x in w)
     if length is not None:
         if length < len(entries):
             raise ValueError("length smaller than the weight")
@@ -171,16 +148,6 @@ def weyl_dim(w, length: int | None = None) -> int:
     if r:
         raise RuntimeError(f"Weyl product for {entries} is not an integer")
     return q
-
-
-def lex_compare(a, b) -> int:
-    """-1 / 0 / +1 in the lexicographic order on part tuples."""
-    pa, pb = Partition.of(a).parts, Partition.of(b).parts
-    if pa < pb:
-        return -1
-    if pa > pb:
-        return 1
-    return 0
 
 
 def all_partitions(max_size: int, max_rows: int | None = None) -> list[Partition]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .partitions import Partition, WeightVector, conjugate, weyl_dim
+from .partitions import Partition, conjugate, weyl_dim
 
 
 @dataclass
@@ -244,8 +244,8 @@ def tensor_weights(x, y, l: int) -> SchurSum:
     Entries may be negative; both inputs are shifted to partitions, combined
     with the Littlewood-Richardson rule, and the keys shifted back.
     """
-    xe = tuple(x.entries) if isinstance(x, WeightVector) else tuple(int(v) for v in x)
-    ye = tuple(y.entries) if isinstance(y, WeightVector) else tuple(int(v) for v in y)
+    xe = tuple(int(v) for v in x)
+    ye = tuple(int(v) for v in y)
     if len(xe) != l or len(ye) != l:
         raise ValueError(f"weights must have length {l}")
     for w in (xe, ye):

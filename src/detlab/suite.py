@@ -83,45 +83,24 @@ def prop31_cases(max_m: int = 5, delta_max: int = 6) -> list[dict]:
     return out
 
 
-def springer_cases(grid=SPRINGER_GRID, t_max: int = 3) -> list[dict]:
+def degreewise_cases(grid=SPRINGER_GRID, t_max: int = 3) -> list[dict]:
+    """The springer, dualizing and fm-kernel checks on every grid point, one
+    family after the other."""
     out = []
-    for l, m, n in grid:
-        rep = bott.check_tilting_springer(l, m, n, t_max)
-        out.append(
-            _case(
-                f"tilt-springer l={l} m={m} n={n} tmax={t_max}",
-                rep.passed,
-                cases=len(rep.cases),
+    for name, check in (
+        ("tilt-springer", bott.check_tilting_springer),
+        ("dualizing", bott.check_dualizing_vanishing),
+        ("fm-kernel", bott.check_fm_kernel),
+    ):
+        for l, m, n in grid:
+            rep = check(l, m, n, t_max)
+            out.append(
+                _case(
+                    f"{name} l={l} m={m} n={n} tmax={t_max}",
+                    rep.passed,
+                    cases=len(rep.cases),
+                )
             )
-        )
-    return out
-
-
-def dualizing_cases(grid=SPRINGER_GRID, t_max: int = 3) -> list[dict]:
-    out = []
-    for l, m, n in grid:
-        rep = bott.check_dualizing_vanishing(l, m, n, t_max)
-        out.append(
-            _case(
-                f"dualizing l={l} m={m} n={n} tmax={t_max}",
-                rep.passed,
-                cases=len(rep.cases),
-            )
-        )
-    return out
-
-
-def fm_cases(grid=SPRINGER_GRID, t_max: int = 3) -> list[dict]:
-    out = []
-    for l, m, n in grid:
-        rep = bott.check_fm_kernel(l, m, n, t_max)
-        out.append(
-            _case(
-                f"fm-kernel l={l} m={m} n={n} tmax={t_max}",
-                rep.passed,
-                cases=len(rep.cases),
-            )
-        )
     return out
 
 
@@ -338,9 +317,7 @@ def run_suite(profile: str = "quick", inject_corruption: bool = False,
         cases += tilt_grass_cases([(1, 2), (1, 3), (2, 4)])
         cases += prop31_cases(4, 3)
         cases += [example_grass24_shadow_case()]
-        cases += springer_cases([(1, 2, 2), (1, 2, 3)], 2)
-        cases += dualizing_cases([(1, 2, 2), (1, 2, 3)], 2)
-        cases += fm_cases([(1, 2, 2), (1, 2, 3)], 2)
+        cases += degreewise_cases([(1, 2, 2), (1, 2, 3)], 2)
         cases += mcm_cases([(2, 2, 1), (2, 3, 1)])
         cases += end_mcm_cases([(2, 2, 1)], blockwise=None)
         cases += flip_cases([(2, 2, 1)])
@@ -354,9 +331,7 @@ def run_suite(profile: str = "quick", inject_corruption: bool = False,
         cases += tilt_grass_cases()
         cases += prop31_cases(5, 6)
         cases += [example_grass24_shadow_case()]
-        cases += springer_cases()
-        cases += dualizing_cases()
-        cases += fm_cases()
+        cases += degreewise_cases()
         cases += mcm_cases()
         cases += end_mcm_cases()
         cases += flip_cases()

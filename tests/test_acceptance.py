@@ -63,11 +63,7 @@ def test_criterion_3_grass24_shadow():
 
 def test_criterion_4_degreewise_vanishing():
     grid = [(1, 2, 2), (1, 2, 3), (1, 3, 3), (2, 3, 3), (2, 3, 4)]
-    cases = (
-        suite.springer_cases(grid, 3)
-        + suite.dualizing_cases(grid, 3)
-        + suite.fm_cases(grid, 3)
-    )
+    cases = suite.degreewise_cases(grid, 3)
     report(
         "4 degreewise vanishing (total space / dualizing twist / kernel), tmax=3",
         all(c["pass"] for c in cases),

@@ -147,6 +147,14 @@ def test_dualizing_rejects_m_greater_n():
         check_dualizing_vanishing(1, 3, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "check", [check_tilting_springer, check_dualizing_vanishing, check_fm_kernel]
+)
+def test_degreewise_checks_reject_negative_tmax(check):
+    with pytest.raises(ValueError):
+        check(1, 2, 2, -1)
+
+
 def test_fm_kernel_examples():
     assert check_fm_kernel(1, 2, 3, 4).passed
     assert check_fm_kernel(2, 4, 4, 2).passed

@@ -4,8 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from detlab.detvar import DEFAULT_SEED
+
 CMD = [sys.executable, "-m", "detlab"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+FROZEN_REPORTS = Path(__file__).resolve().parent / "data" / "frozen_reports.json"
+# keys "detlab <arguments>" hold the whole --json report of that command line
+FROZEN_COMMANDS = [
+    key for key in json.loads(FROZEN_REPORTS.read_text()) if key.startswith("detlab ")
+]
 
 
 def run(*args, env_extra=None):
@@ -82,6 +91,27 @@ def test_usage_errors_exit_two():
     assert run("check-mcm", "--m", "2", "--n", "3", "--l", "1", "--badflag").returncode == 2
     # hypothesis violation (m > n) is a usage error as well
     assert run("check-dualizing", "--l", "1", "--m", "3", "--n", "2").returncode == 2
+
+
+def test_empty_checks_are_usage_errors():
+    # a negative degree bound or zero trials would pass with no evidence
+    for args in (
+        ("check-fm", "--l", "1", "--m", "2", "--n", "2", "--tmax", "-1"),
+        ("check-rank", "--m", "2", "--n", "2", "--l", "1", "--alpha", "1", "--trials", "0"),
+    ):
+        r = run(*args, "--json")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", FROZEN_COMMANDS)
+def test_json_reports_are_frozen(command):
+    want = json.loads(FROZEN_REPORTS.read_text())[command]
+    r = run(*command.split()[1:], env_extra={"DETVAR_SEED": str(DEFAULT_SEED)})
+    assert r.returncode == 0
+    assert r.stdout == json.dumps(want, indent=2) + "\n"
 
 
 def test_suite_quick_passes():

@@ -211,6 +211,12 @@ def test_rank_check_over_prime_field():
     assert rank_check(mod, trials=2, seed=9).passed
 
 
+def test_rank_check_rejects_zero_trials():
+    mod = wedge_module(generic_setup(2, 2, 1), (1,))
+    with pytest.raises(ValueError):
+        rank_check(mod, trials=0)
+
+
 def test_single_column_shapes_match_plain_wedges():
     # when l = m-1 the one-column modules are images of single wedge powers
     s = generic_setup(3, 3, 2)

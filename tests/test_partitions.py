@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 
 from detlab.partitions import (
     Partition,
-    WeightVector,
     all_partitions,
     conjugate,
     enumerate_box,
-    lex_compare,
     weyl_dim,
 )
 from detlab.schurcalc import count_ssyt
@@ -83,17 +81,7 @@ def test_weyl_dim_counts_tableaux():
             assert weyl_dim(p.padded(m)) == count_ssyt(p, m)
 
 
-def test_lex_compare():
-    assert lex_compare((2, 1), (1, 1, 1)) == 1
-    assert lex_compare((1,), (1,)) == 0
-    assert lex_compare((), (1,)) == -1
-
-
 def test_lex_minimum_is_empty():
+    assert Partition((1, 1, 1)) < Partition((2, 1))
     for p in all_partitions(5):
-        assert lex_compare((), p) <= 0
-
-
-def test_weight_vector_dominance():
-    assert WeightVector((2, 0, -1)).dominant
-    assert not WeightVector((0, 1)).dominant
+        assert Partition() <= p
