@@ -7,8 +7,11 @@ rho = (m-1, ..., 0); a repeated entry kills everything, otherwise the unique
 nonzero degree is the inversion count.
 
 Every vanishing checker runs one loop: it builds the Q-side Schur sum of each
-case (Hom pairs once per call, tensored with Sym_t(aux x Q) degree by degree
-where the check is degreewise) and takes its cohomology term by term.
+case and takes its cohomology term by term.  The box wedge powers of Q and
+their duals are expanded once per checker call, so each Hom pair is one
+SchurSum.tensor, tensored with Sym_t(aux x Q) degree by degree where the
+check is degreewise.  Bott's sort-and-sign and the Brauer-Klimyk tensor
+product share `partitions.straighten`.
 
 Everything here is characteristic zero and every report says so.
 """
@@ -18,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .partitions import Partition, conjugate, enumerate_box, weyl_dim
-from .schurcalc import SchurSum, cauchy_expand
+from .partitions import Partition, enumerate_box, straighten, weyl_dim
+from .schurcalc import SchurSum, cauchy_expand, exterior_expand
 
 CHAR_ZERO_NOTE = "characteristic-zero cohomology oracle"
 
@@ -156,15 +159,12 @@ def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> Cohom
     for w in (x, y):
         if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
             raise ValueError(f"weight {w} is not dominant")
-    lam = x + y
     rho = tuple(range(m - 1, -1, -1))
-    v = tuple(a + b for a, b in zip(lam, rho))
     table = CohomologyTable(m)
-    if len(set(v)) < m:
-        return table
-    inversions = sum(1 for i in range(m) for j in range(i + 1, m) if v[i] < v[j])
-    dotted = tuple(a - b for a, b in zip(sorted(v, reverse=True), rho))
-    table.add(inversions, dotted, 1)
+    st = straighten([a + b for a, b in zip(x + y, rho)])
+    if st is not None:
+        inversions, v = st
+        table.add(inversions, tuple(a - b for a, b in zip(v, rho)), 1)
     return table
 
 
@@ -230,34 +230,29 @@ def _report(check: str, parameters: dict, cases: list[CheckCase]) -> CheckReport
     return CheckReport(check, parameters, cases, all(c.passed for c in cases))
 
 
-def _case(inputs: dict, m: int, qsum: SchurSum, rsum: SchurSum) -> CheckCase:
-    table = _cohomology(m, qsum, rsum)
+def _case(inputs: dict, m: int, qsum: SchurSum) -> CheckCase:
+    """One case: qsum(Q) on Grass(qsum.rank, m) has no higher cohomology."""
+    table = _cohomology(m, qsum, SchurSum.unit(m - qsum.rank))
     return CheckCase(inputs, table.degrees(), table.vanishes_above(0))
 
 
-def _dual_wedges(alpha: Partition) -> list:
-    """Factors of (wedge^{alpha'}Q)^dual."""
-    return [wedge_q_dual(a) for a in conjugate(alpha).parts]
-
-
-def _hom_pairs(l: int, m: int, twist: tuple = ()):
-    """Yield (inputs, Schur sums) of Hom(wedge^{alpha'}Q, wedge^{beta'}Q),
-    tensored with the twist factors, for every pair in the l x (m-l) box."""
-    box = enumerate_box(l, m - l)
-    for alpha in box:
-        for beta in box:
-            factors = _dual_wedges(alpha) + [wedge_q(b) for b in conjugate(beta).parts]
-            yield (
-                {"alpha": list(alpha.parts), "beta": list(beta.parts)},
-                BundleExpression(l, m, tuple(factors) + twist)._sums(),
-            )
+def _hom_pairs(l: int, m: int, twist: int = 0):
+    """Yield (inputs, Q-side sum) of Hom(wedge^{alpha'}Q, wedge^{beta'}Q) x
+    det(Q)^twist for every pair in the l x (m-l) box."""
+    det = SchurSum(l)
+    det.add((twist,) * l)
+    wedges = {alpha: exterior_expand(alpha, l) for alpha in enumerate_box(l, m - l)}
+    for alpha, source in wedges.items():
+        dual = source.dual().tensor(det)
+        for beta, target in wedges.items():
+            yield {"alpha": list(alpha.parts), "beta": list(beta.parts)}, dual.tensor(target)
 
 
 def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
                 pairs: list) -> CheckReport:
-    """One case per degree t <= t_max and per (inputs, Schur sums) pair: the
-    pair's Q side tensored with Sym_t(aux x Q), aux trivial of dim aux_dim,
-    has no higher cohomology."""
+    """One case per degree t <= t_max and per (inputs, Q-side sum) pair: the
+    pair's sum tensored with Sym_t(aux x Q), aux trivial of dim aux_dim, has
+    no higher cohomology."""
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     cases = []
@@ -265,8 +260,8 @@ def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
         sym = SchurSum(l)
         for g, (_, dim_aux) in cauchy_expand(t, l, aux_dim):
             sym.add(g.padded(l), dim_aux)
-        for inputs, (qsum, rsum) in pairs:
-            cases.append(_case({"t": t, **inputs}, m, qsum.tensor(sym), rsum))
+        for inputs, qsum in pairs:
+            cases.append(_case({"t": t, **inputs}, m, qsum.tensor(sym)))
     return _report(check, {"l": l, "m": m, "n": n, "t_max": t_max}, cases)
 
 
@@ -278,11 +273,12 @@ def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
         raise ValueError(f"{alpha.parts} does not fit in the {l} x {m - l} box")
     if len(delta) > l:
         raise ValueError(f"{delta.parts} has more than {l} rows")
-    factors = _dual_wedges(alpha) + [schur_q(delta.padded(l))]
+    schur = SchurSum(l)
+    schur.add(delta.padded(l))
     case = _case(
         {"alpha": list(alpha.parts), "delta": list(delta.parts)},
         m,
-        *BundleExpression(l, m, tuple(factors))._sums(),
+        exterior_expand(alpha, l).dual().tensor(schur),
     )
     return _report("hom-vanishing", {"l": l, "m": m}, [case])
 
@@ -290,7 +286,7 @@ def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
 def check_tilting_grass(l: int, m: int) -> CheckReport:
     """No higher self-extensions between box wedge powers of Q: for every
     pair (alpha, beta) in the box, H^{>0}(Hom(wedge^{alpha'}Q, wedge^{beta'}Q)) = 0."""
-    cases = [_case(inputs, m, *sums) for inputs, sums in _hom_pairs(l, m)]
+    cases = [_case(inputs, m, qsum) for inputs, qsum in _hom_pairs(l, m)]
     return _report("tilting-grassmannian", {"l": l, "m": m}, cases)
 
 
@@ -310,7 +306,7 @@ def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int = 3) -> CheckRe
         raise ValueError("requires m <= n")
     if not 1 <= l < m:
         raise ValueError("need 1 <= l < m")
-    pairs = list(_hom_pairs(l, m, (det_q(n - m),)))
+    pairs = list(_hom_pairs(l, m, n - m))
     return _degreewise("dualizing-vanishing", l, m, n, t_max, n, pairs)
 
 
@@ -323,7 +319,7 @@ def check_fm_kernel(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
     if not 1 <= l < m:
         raise ValueError("need 1 <= l < m")
     pairs = [
-        ({"alpha": list(alpha.parts)}, BundleExpression(l, m, tuple(_dual_wedges(alpha)))._sums())
+        ({"alpha": list(alpha.parts)}, exterior_expand(alpha, l).dual())
         for alpha in enumerate_box(l, m - l)
     ]
     return _degreewise("fm-kernel-vanishing", l, m, n, t_max, l, pairs)

@@ -194,11 +194,8 @@ def _from_check_report(rep: bott.CheckReport):
     return rep.parameters, 0, [c.to_json() for c in rep.cases], rep.passed
 
 
-def handle(args) -> tuple[dict, int, list[dict], bool]:
+def handle(args, seed: int) -> tuple[dict, int, list[dict], bool]:
     sc = args.subcommand
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = env_seed()
 
     if sc == "partitions":
         box = enumerate_box(args.u, args.v)
@@ -418,20 +415,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.time()
     try:
-        parameters, char, cases, passed = handle(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        try:
+        seed = getattr(args, "seed", None)
+        if seed is None:
             seed = env_seed()
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        parameters, char, cases, passed = handle(args, seed)
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = {
         "report_version": REPORT_VERSION,
         "tool": "detlab",

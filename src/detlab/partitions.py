@@ -3,7 +3,8 @@
 Conventions: partitions are weakly decreasing tuples of nonnegative integers,
 canonical form has no trailing zeros.  Weights are arbitrary integer tuples;
 a weight is dominant when weakly decreasing.  The canonical total order on
-partitions is lexicographic on the part tuples.
+partitions is lexicographic on the part tuples.  `straighten` is the one
+dotted Weyl-group sort-and-sign step of the package.
 """
 
 from __future__ import annotations
@@ -75,21 +76,6 @@ class Partition:
         return f"Partition{self.parts}"
 
 
-@dataclass(frozen=True)
-class BoxSet:
-    """All partitions with at most u rows and at most v columns, lex sorted."""
-
-    u: int
-    v: int
-    members: tuple[Partition, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Partition]:
-        return iter(self.members)
-
-
 def conjugate(p) -> Partition:
     """Transpose of the Young diagram; an involution."""
     parts = Partition.of(p).parts
@@ -107,8 +93,8 @@ def _box_parts(u: int, v: int, maxpart: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_box(u: int, v: int) -> BoxSet:
-    """All partitions inside the u x v box; cardinality binomial(u+v, u)."""
+def enumerate_box(u: int, v: int) -> tuple[Partition, ...]:
+    """All partitions inside the u x v box, lex sorted; binomial(u+v, u) of them."""
     if u < 1 or v < 1:
         raise ValueError("box dimensions must be positive")
     members = sorted(Partition(t) for t in _box_parts(u, v, v))
@@ -117,10 +103,10 @@ def enumerate_box(u: int, v: int) -> BoxSet:
             f"{len(members)} partitions in the {u} x {v} box, expected "
             f"binomial({u + v}, {u})"
         )
-    return BoxSet(u, v, tuple(members))
+    return tuple(members)
 
 
-def weyl_dim(w, length: int | None = None) -> int:
+def weyl_dim(w) -> int:
     """Dimension of the irreducible GL module with dominant weight w.
 
     Product formula prod_{i<j} (w_i - w_j + j - i)/(j - i), evaluated with the
@@ -128,13 +114,6 @@ def weyl_dim(w, length: int | None = None) -> int:
     Invariant under adding a constant to all entries.
     """
     entries = tuple(int(x) for x in w)
-    if length is not None:
-        if length < len(entries):
-            raise ValueError("length smaller than the weight")
-        entries = entries + (0,) * (length - len(entries))
-        for i in range(len(entries) - 1):
-            if entries[i] < entries[i + 1]:
-                raise ValueError(f"padding {w} to length {length} is not dominant")
     m = len(entries)
     if any(entries[i] < entries[i + 1] for i in range(m - 1)):
         raise ValueError(f"weight {entries} is not dominant")
@@ -148,6 +127,21 @@ def weyl_dim(w, length: int | None = None) -> int:
     if r:
         raise RuntimeError(f"Weyl product for {entries} is not an integer")
     return q
+
+
+def straighten(v) -> tuple[int, tuple[int, ...]] | None:
+    """Sort v into strictly decreasing order: (inversion count, sorted tuple),
+    or None when an entry repeats.
+
+    This is the dotted Weyl-group step shared by Bott's theorem and the
+    Brauer-Klimyk rule, applied to a weight that already has rho added.
+    """
+    n = len(v)
+    s = tuple(sorted(v, reverse=True))
+    if len(set(s)) < n:
+        return None
+    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j])
+    return inversions, s
 
 
 def all_partitions(max_size: int, max_rows: int | None = None) -> list[Partition]:

@@ -1,25 +1,29 @@
 """Characteristic-zero Schur calculus.
 
-Littlewood-Richardson products are computed combinatorially, by enumerating
-skew semistandard fillings whose reverse reading word is a lattice word.  A
-separate tableau-based character oracle (semistandard Young tableaux) serves
-as an independent cross-check; the two never share code paths.
+Tensor products of GL(rank) modules follow the Brauer-Klimyk rule: the
+weights of the smaller factor, read off the tableau characters of its terms,
+are added to each highest weight of the other factor and straightened by the
+dotted Weyl action (`partitions.straighten`).  Littlewood-Richardson products
+are computed combinatorially, by enumerating skew semistandard fillings whose
+reverse reading word is a lattice word, and serve as the independent
+reference for those tensor products.  The tableau character oracle
+(semistandard Young tableaux) cross-checks LR; LR and the character oracle
+never share code paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .partitions import Partition, conjugate, weyl_dim
+from .partitions import Partition, conjugate, straighten, weyl_dim
 
 
 @dataclass
 class SchurSum:
-    """Multiplicity map over dominant GL(rank) weights of a fixed length.
+    """Multiplicity map over dominant GL(rank) weights of length `rank`.
 
-    Weights whose normalization needs more than `rank` nonzero rows vanish
-    for GL(rank) and are dropped at insertion time.
+    `add` raises ValueError on a weight of another length or one that is not
+    dominant; a key whose multiplicity sums to zero is removed.
     """
 
     rank: int
@@ -43,14 +47,47 @@ class SchurSum:
     def dimension(self) -> int:
         return sum(mult * weyl_dim(w) for w, mult in self.terms.items())
 
+    def dual(self) -> "SchurSum":
+        """The dual module: each weight w becomes -w reversed."""
+        return SchurSum(
+            self.rank, {tuple(-v for v in reversed(w)): mult for w, mult in self.terms.items()}
+        )
+
+    def _weights(self) -> dict[tuple[int, ...], int]:
+        """Every weight of the module with its multiplicity, from the tableau
+        character of each term shifted by its last entry."""
+        out: dict[tuple[int, ...], int] = {}
+        for w, mult in self.terms.items():
+            c = w[-1]
+            for expo, k in schur_character(tuple(v - c for v in w), self.rank).coeffs.items():
+                mu = tuple(e + c for e in expo)
+                out[mu] = out.get(mu, 0) + mult * k
+        return out
+
     def tensor(self, other: "SchurSum") -> "SchurSum":
+        """Brauer-Klimyk: every weight mu of the smaller factor and highest
+        weight x of the other give sign(w) V_{w(x + mu + rho) - rho}, where w
+        sorts x + mu + rho and a repeated entry gives nothing."""
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
-        out = SchurSum(self.rank)
-        for x, mx in self.terms.items():
-            for y, my in other.terms.items():
-                for z, mz in tensor_weights(x, y, self.rank).terms.items():
-                    out.add(z, mx * my * mz)
+        dims = self.dimension(), other.dimension()
+        small, big = (other, self) if dims[1] <= dims[0] else (self, other)
+        weights = small._weights()
+        rho = tuple(range(self.rank - 1, -1, -1))
+        acc: dict[tuple[int, ...], int] = {}
+        for x, mx in big.terms.items():
+            shifted = [a + r for a, r in zip(x, rho)]
+            for mu, mmu in weights.items():
+                st = straighten([a + b for a, b in zip(shifted, mu)])
+                if st is None:
+                    continue
+                inversions, v = st
+                z = tuple(a - r for a, r in zip(v, rho))
+                acc[z] = acc.get(z, 0) + (-1) ** inversions * mx * mmu
+        out = SchurSum(self.rank, {z: c for z, c in acc.items() if c})
+        if out.dimension() != dims[0] * dims[1]:
+            raise RuntimeError(f"tensor product of dimension {out.dimension()}, "
+                               f"expected {dims[0]} * {dims[1]}")
         return out
 
     @staticmethod
@@ -194,44 +231,25 @@ def lr_coefficients(a, b) -> dict[Partition, int]:
 
 
 # ---------------------------------------------------------------------------
-# Pieri columns, box expansions, weights with negative entries
-
-
-def _add_vertical_strip(base: tuple[int, ...], size: int, maxrows: int):
-    """Shapes obtained from base by adding `size` boxes, at most one per row."""
-    padded = list(base) + [0] * (maxrows - len(base))
-    for rows in combinations(range(maxrows), size):
-        new = padded[:]
-        for r in rows:
-            new[r] += 1
-        ok = all(new[i] >= new[i + 1] for i in range(maxrows - 1))
-        # column-strict growth: can only put a box in row r if the result
-        # still is a partition; no other condition for a vertical strip
-        if ok:
-            yield tuple(x for x in new if x)
+# Box expansions and weights with negative entries
 
 
 def exterior_expand(alpha, l: int) -> SchurSum:
     """Decomposition of the tensor of column exterior powers for rank l.
 
     For shape alpha with conjugate columns (c_1, ..., c_r), expands
-    wedge^{c_1} V x ... x wedge^{c_r} V with dim V = l by iterated column
-    Pieri products.  The key alpha itself appears with multiplicity one.
+    wedge^{c_1} V x ... x wedge^{c_r} V with dim V = l as a fold of
+    SchurSum.tensor over the column weights (1^c, 0^(l-c)).  The key alpha
+    itself appears with multiplicity one.
     """
     alpha = Partition.of(alpha)
     if len(alpha) > l:
         raise ValueError(f"shape {alpha.parts} has more than {l} rows")
-    cols = conjugate(alpha).parts
-    current: dict[tuple[int, ...], int] = {(): 1}
-    for c in cols:
-        nxt: dict[tuple[int, ...], int] = {}
-        for shape, mult in current.items():
-            for new in _add_vertical_strip(shape, c, l):
-                nxt[new] = nxt.get(new, 0) + mult
-        current = nxt
-    out = SchurSum(l)
-    for shape, mult in current.items():
-        out.add(Partition(shape).padded(l), mult)
+    out = SchurSum.unit(l)
+    for c in conjugate(alpha).parts:
+        column = SchurSum(l)
+        column.add((1,) * c + (0,) * (l - c))
+        out = out.tensor(column)
     mult = out.terms.get(alpha.padded(l), 1)
     if mult != 1:
         raise RuntimeError(f"{alpha.parts} has multiplicity {mult} in its own expansion")
@@ -239,28 +257,12 @@ def exterior_expand(alpha, l: int) -> SchurSum:
 
 
 def tensor_weights(x, y, l: int) -> SchurSum:
-    """Tensor product decomposition of two dominant GL(l) weights.
-
-    Entries may be negative; both inputs are shifted to partitions, combined
-    with the Littlewood-Richardson rule, and the keys shifted back.
-    """
-    xe = tuple(int(v) for v in x)
-    ye = tuple(int(v) for v in y)
-    if len(xe) != l or len(ye) != l:
-        raise ValueError(f"weights must have length {l}")
-    for w in (xe, ye):
-        if any(w[i] < w[i + 1] for i in range(l - 1)):
-            raise ValueError(f"weight {w} is not dominant")
-    cx = max(0, -min(xe, default=0))
-    cy = max(0, -min(ye, default=0))
-    a = Partition(tuple(v + cx for v in xe))
-    b = Partition(tuple(v + cy for v in ye))
-    out = SchurSum(l)
-    for g, mult in lr_coefficients(a, b).items():
-        if len(g) > l:
-            continue
-        out.add(tuple(v - cx - cy for v in g.padded(l)), mult)
-    return out
+    """Tensor product decomposition of two dominant GL(l) weights, whose
+    entries may be negative: the one-term case of SchurSum.tensor."""
+    xs, ys = SchurSum(l), SchurSum(l)
+    xs.add(x)
+    ys.add(y)
+    return xs.tensor(ys)
 
 
 def cauchy_expand(t: int, l1: int, l2: int) -> list[tuple[Partition, tuple[int, int]]]:

@@ -85,6 +85,13 @@ def test_seed_env_override():
     assert json.loads(r.stdout)["seed"] == 12345
 
 
+def test_bad_seed_env_is_usage_error():
+    r = run("partitions", "--u", "1", "--v", "1", "--json", env_extra={"DETVAR_SEED": "x"})
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: DETVAR_SEED must be an integer, got 'x'\n"
+
+
 def test_usage_errors_exit_two():
     assert run("check-mcm", "--m", "2").returncode == 2
     assert run("no-such-subcommand").returncode == 2

@@ -8,6 +8,7 @@ from detlab.partitions import (
     all_partitions,
     conjugate,
     enumerate_box,
+    straighten,
     weyl_dim,
 )
 from detlab.schurcalc import count_ssyt
@@ -37,7 +38,7 @@ def test_conjugate_involution_exhaustive():
 
 
 def test_enumerate_box_examples():
-    assert [p.parts for p in enumerate_box(1, 2)] == [(), (1,), (2,)]
+    assert enumerate_box(1, 2) == (Partition(), Partition((1,)), Partition((2,)))
     assert len(enumerate_box(2, 2)) == 6
     assert [p.parts for p in enumerate_box(1, 1)] == [(), (1,)]
 
@@ -85,3 +86,27 @@ def test_lex_minimum_is_empty():
     assert Partition((1, 1, 1)) < Partition((2, 1))
     for p in all_partitions(5):
         assert Partition() <= p
+
+
+def test_straighten_examples():
+    assert straighten((3, 1, 0)) == (0, (3, 1, 0))
+    assert straighten((0, 1, 3)) == (3, (3, 1, 0))
+    assert straighten((1, 3, -2)) == (1, (3, 1, -2))
+    assert straighten((2, 0, 2)) is None
+    assert straighten(()) == (0, ())
+
+
+@given(st.lists(st.integers(-6, 6), max_size=6))
+def test_straighten_sign_is_parity_of_swaps(v):
+    st_v = straighten(v)
+    if len(set(v)) < len(v):
+        assert st_v is None
+        return
+    # bubble sort: each adjacent swap removes exactly one inversion
+    w, swaps = list(v), 0
+    for i in range(len(w)):
+        for j in range(len(w) - 1 - i):
+            if w[j] < w[j + 1]:
+                w[j], w[j + 1] = w[j + 1], w[j]
+                swaps += 1
+    assert st_v == (swaps, tuple(w))

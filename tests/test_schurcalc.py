@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from detlab.partitions import Partition, all_partitions, conjugate, weyl_dim
 from detlab.schurcalc import (
@@ -158,3 +159,74 @@ def test_schur_sum_drops_and_validates():
         s.add((0, 1), 1)
     with pytest.raises(ValueError):
         s.add((1, 0, 0), 1)
+
+
+def test_schur_sum_dual():
+    s = exterior_expand((2, 1), 3)
+    assert s.dual().terms == {(0, -1, -2): 1, (-1, -1, -1): 1}
+    assert s.dual().dual() == s
+    assert s.dual().dimension() == s.dimension()
+
+
+# ---------------------------------------------------------------------------
+# Brauer-Klimyk against Littlewood-Richardson
+
+
+def lr_shift_and_filter(x, y, l: int) -> dict:
+    """Reference decomposition of L_x x L_y for GL(l): shift both weights to
+    partitions, expand by Littlewood-Richardson, drop shapes with more than
+    l rows and shift back."""
+    cx, cy = max(0, -x[-1]), max(0, -y[-1])
+    a = Partition(tuple(v + cx for v in x))
+    b = Partition(tuple(v + cy for v in y))
+    return {
+        tuple(v - cx - cy for v in g.padded(l)): c
+        for g, c in lr_coefficients(a, b).items()
+        if len(g) <= l
+    }
+
+
+@st.composite
+def gl_weights(draw, l: int):
+    """A dominant GL(l) weight with entries in -2..2."""
+    return tuple(sorted(draw(st.lists(st.integers(-2, 2), min_size=l, max_size=l)), reverse=True))
+
+
+@st.composite
+def weight_pairs(draw):
+    l = draw(st.integers(1, 4))
+    return l, draw(gl_weights(l)), draw(gl_weights(l))
+
+
+@st.composite
+def sum_pairs(draw):
+    l = draw(st.integers(1, 4))
+    sums = []
+    for _ in range(2):
+        s = SchurSum(l)
+        for w in draw(st.lists(gl_weights(l), min_size=1, max_size=3, unique=True)):
+            s.add(w, draw(st.integers(1, 3)))
+        sums.append(s)
+    return sums
+
+
+@settings(deadline=None)
+@given(weight_pairs())
+def test_tensor_weights_matches_lr_reference(case):
+    l, x, y = case
+    assert tensor_weights(x, y, l).terms == lr_shift_and_filter(x, y, l)
+
+
+@settings(deadline=None)
+@given(sum_pairs())
+def test_schur_sum_tensor_matches_lr_reference(sums):
+    s, t = sums
+    want = SchurSum(s.rank)
+    for x, mx in s.terms.items():
+        for y, my in t.terms.items():
+            for z, mz in lr_shift_and_filter(x, y, s.rank).items():
+                want.add(z, mx * my * mz)
+    got = s.tensor(t)
+    assert got == want
+    assert got == t.tensor(s)
+    assert got.dimension() == s.dimension() * t.dimension()
