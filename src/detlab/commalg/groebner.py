@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 import struct
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
 from typing import Callable, Iterable, Sequence
 
 from .modules import FreeModule, ModuleMap, Vector
@@ -379,10 +379,13 @@ class GroebnerEngine:
         self._update_pairs(self._install(r))
         return True
 
-    def complete(self) -> None:
+    def complete(self, degree: int | None = None) -> None:
+        """Process the S-pairs, by increasing graded degree, up to `degree`
+        if given.  For input homogeneous in the engine's `degrees`, the basis
+        then reduces every member of degree <= `degree` to zero."""
         p = self.ring.char
         basis, pairs, pending = self.basis, self._pairs, self._pending
-        while pairs:
+        while pairs and (degree is None or pairs[0][0] <= degree):
             _, lcm, i, j = heapq.heappop(pairs)
             fi, fj = basis[i], basis[j]
             if pending[fi.slot].pop((i, j), None) is None:
@@ -542,21 +545,28 @@ def minimal_generators(
     quotient_gb: Sequence[Vector] = (),
 ) -> list[Vector]:
     """Extract a minimal generating set from homogeneous module generators,
-    optionally modulo a submodule given by a Groebner basis.
+    optionally modulo a submodule given by a homogeneous Groebner basis.
 
     Processes by increasing degree; a candidate already inside the submodule
     generated by the kept ones (plus the quotient) is dropped (graded
-    Nakayama makes the greedy sweep exact).
+    Nakayama makes the greedy sweep exact).  Before the candidates of degree
+    d, the basis is completed only through degree d, which decides
+    membership in degree d exactly for graded input; a kept candidate's
+    pairs all lie above d, since no earlier lead divides its lead, so one
+    truncated completion per degree suffices.  Non-homogeneous input raises
+    ValueError.
     """
 
     def canon(v: Vector):
         return (v.degree(degrees), [(p, grevlex_key(m), str(c)) for (p, m), c in sorted(v.terms.items())])
 
+    for q in quotient_gb:
+        q.degree(degrees)  # raises ValueError unless homogeneous
     eng = GroebnerEngine(ring, top_key, degrees)
     eng.seed(quotient_gb)
     kept: list[Vector] = []
-    for v in sorted((v for v in vectors if not v.is_zero()), key=canon):
-        if eng.add_generator(v):
-            kept.append(v)
-            eng.complete()
+    candidates = sorted((v for v in vectors if not v.is_zero()), key=canon)
+    for deg, batch in groupby(candidates, key=lambda v: v.degree(degrees)):
+        eng.complete(deg)
+        kept.extend(v for v in batch if eng.add_generator(v))
     return kept

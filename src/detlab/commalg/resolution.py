@@ -6,6 +6,10 @@ kernel of that map by elimination.  Trimming every step keeps the complex
 minimal except possibly at the generator stage, where a non-minimal
 presentation can leave constant entries in the first differential; a
 unit-clearing pass removes those.
+
+Trimming completes the Groebner basis of the kept relations only through
+the degree being tested (`minimal_generators`), which is exact for these
+homogeneous relations; no S-pair above the top candidate degree is formed.
 """
 
 from __future__ import annotations

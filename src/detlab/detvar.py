@@ -455,24 +455,30 @@ class RankCheckResult:
     predicted: int
     ranks: list[int]
     seed: int
+    reason: str | None = None
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        self.passed = all(r == self.predicted for r in self.ranks)
+        self.passed = self.reason is None and all(r == self.predicted for r in self.ranks)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "shape": list(self.shape),
             "predicted": self.predicted,
             "ranks": self.ranks,
             "seed": self.seed,
             "pass": self.passed,
         }
+        return out if self.reason is None else {**out, "reason": self.reason}
+
+
+RANK_POINT_DRAWS = 100  # per trial, before the check fails
 
 
 def rank_check(module: ImageModule, trials: int = 5, seed: int = DEFAULT_SEED) -> RankCheckResult:
     """Specialize the generic matrix to random rank-l points and compare the
-    wedge-map rank with the product of column binomials."""
+    wedge-map rank with the product of column binomials.  A point is u v^T,
+    with entries drawn from 1..7 in char 0 and from all of F_p."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     setup = module.setup
@@ -480,11 +486,12 @@ def rank_check(module: ImageModule, trials: int = 5, seed: int = DEFAULT_SEED) -
     rng = random.Random(seed)
     predicted = module.generic_rank()
     ranks = []
-    span = setup.char - 1 if setup.char else 7
+    low, high = (0, setup.char - 1) if setup.char else (1, 7)
+    reason = None
     for _ in range(trials):
-        while True:
-            u = [[rng.randint(1, span) for _ in range(setup.l)] for _ in range(setup.m)]
-            v = [[rng.randint(1, span) for _ in range(setup.l)] for _ in range(setup.n)]
+        for _ in range(RANK_POINT_DRAWS):
+            u = [[rng.randint(low, high) for _ in range(setup.l)] for _ in range(setup.m)]
+            v = [[rng.randint(low, high) for _ in range(setup.l)] for _ in range(setup.n)]
             x0 = [
                 [
                     sum(u[i][k] * v[j][k] for k in range(setup.l))
@@ -495,8 +502,11 @@ def rank_check(module: ImageModule, trials: int = 5, seed: int = DEFAULT_SEED) -
             flat = [ring.coeff(x0[i][j]) for i in range(setup.m) for j in range(setup.n)]
             if matrix_rank(ring, [[ring.coeff(e) for e in row] for row in x0]) == setup.l:
                 break
+        else:
+            reason = f"no rank-{setup.l} point in {RANK_POINT_DRAWS} draws"
+            break
         ranks.append(random_rank(module.fmap, flat))
-    return RankCheckResult(tuple(module.shape.parts), predicted, ranks, seed)
+    return RankCheckResult(tuple(module.shape.parts), predicted, ranks, seed, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,14 @@ FROZEN_COMMANDS = [
 ]
 
 
-def run(*args, env_extra=None):
+def run(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     # the CLI runs in a child process: let it import this checkout's package
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env
+        CMD + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -111,6 +111,16 @@ def test_empty_checks_are_usage_errors():
         assert r.stdout == ""
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: ")
+
+
+def test_check_rank_over_f2_returns():
+    # the rank-2 points of F_2^{3x3} need draws that include 0
+    r = run(
+        "check-rank", "--m", "3", "--n", "3", "--l", "2", "--alpha", "1",
+        "--trials", "1", "--char", "2", "--json", timeout=60,
+    )
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["pass"] is True
 
 
 @pytest.mark.parametrize("command", FROZEN_COMMANDS)

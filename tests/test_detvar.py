@@ -179,6 +179,15 @@ def test_certify_mcm_examples():
     assert cert.passed and cert.pd == 2
 
 
+@pytest.mark.parametrize("char", [0, 32003])
+def test_certify_mcm_reaches_341(char):
+    """(3,4,1) alpha=(1): a resolution of length 6 over 12 variables."""
+    s = generic_setup(3, 4, 1, char=char)
+    cert = certify_mcm(wedge_module(s, (1,)).presentation, s, Partition((1,)))
+    assert cert.passed and cert.pd == 6
+    assert tuple(cert.betti_ranks) == (3, 12, 34, 60, 52, 18, 1)
+
+
 def test_certify_mcm_negative_control():
     s = generic_setup(2, 2, 1)
     ring = s.ring
@@ -209,6 +218,18 @@ def test_rank_check_over_prime_field():
     s = generic_setup(2, 3, 1, char=32003)
     mod = wedge_module(s, (1,))
     assert rank_check(mod, trials=2, seed=9).passed
+
+
+def test_rank_check_exhausted_draws_fail_with_reason(monkeypatch):
+    import detlab.detvar as dv
+
+    mod = wedge_module(generic_setup(2, 2, 1), (1,))
+    monkeypatch.setattr(dv, "matrix_rank", lambda ring, rows: 0)
+    rc = rank_check(mod, trials=2)
+    assert not rc.passed
+    assert rc.ranks == []
+    assert rc.reason == f"no rank-1 point in {dv.RANK_POINT_DRAWS} draws"
+    assert rc.to_json()["reason"] == rc.reason
 
 
 def test_rank_check_rejects_zero_trials():

@@ -20,7 +20,8 @@ from detlab.commalg import (
     syzygies,
     top_key,
 )
-from detlab.commalg.groebner import DEG_MAX, POS_MAX, TermCodec
+from detlab.commalg.groebner import DEG_MAX, POS_MAX, TermCodec, grevlex_key
+from detlab.detvar import endomorphism_ring, generic_setup, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
 X, Y = R2.variable(0), R2.variable(1)
@@ -125,6 +126,117 @@ def test_minimal_generators_mod_quotient():
     vecs = [ideal_vec(R2, X + Y), ideal_vec(R2, Y)]
     ming = minimal_generators(R2, vecs, (0,), q)
     assert len(ming) == 1
+
+
+def test_minimal_generators_rejects_nonhomogeneous_quotient():
+    # degree truncation is exact only for graded input
+    q = [ideal_vec(R2, X * X + Y)]
+    with pytest.raises(ValueError):
+        minimal_generators(R2, [ideal_vec(R2, X)], (0,), q)
+    with pytest.raises(ValueError):
+        minimal_generators(R2, [ideal_vec(R2, X * X + Y)], (0,))
+
+
+def reference_minimal_generators(ring, vectors, degrees, quotient_gb=()):
+    """The sweep without degree truncation: the same candidate order, with a
+    full completion after every kept candidate."""
+
+    def canon(v):
+        return (v.degree(degrees), [(p, grevlex_key(m), str(c)) for (p, m), c in sorted(v.terms.items())])
+
+    eng = GroebnerEngine(ring, top_key, degrees)
+    eng.seed(quotient_gb)
+    kept = []
+    for v in sorted((v for v in vectors if not v.is_zero()), key=canon):
+        if eng.add_generator(v):
+            kept.append(v)
+            eng.complete()
+    return kept
+
+
+def checked_against_reference(monkeypatch, *modules):
+    """Make every `minimal_generators` call through `modules` also run the
+    reference sweep and require the same vectors in the same order."""
+    calls = []
+
+    def checked(ring, vectors, degrees, quotient_gb=()):
+        got = minimal_generators(ring, vectors, degrees, quotient_gb)
+        assert got == reference_minimal_generators(ring, vectors, degrees, quotient_gb)
+        calls.append(len(got))
+        return got
+
+    for module in modules:
+        monkeypatch.setattr(module, "minimal_generators", checked)
+    return calls
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("mnl", [(2, 4, 1), (3, 3, 1), (3, 4, 2)])
+def test_minimal_generators_matches_reference_on_resolutions(monkeypatch, mnl, char):
+    import detlab.commalg as commalg
+    from detlab.commalg import resolution
+
+    calls = checked_against_reference(monkeypatch, commalg, resolution)
+    setup = generic_setup(*mnl, char=char)
+    for alpha in setup.box():
+        resolution.free_resolution(wedge_module(setup, alpha).presentation)
+    # one presentation and at least one resolution step per box shape
+    assert len(calls) >= 2 * len(setup.box())
+
+
+def test_minimal_generators_matches_reference_on_hom_inputs(monkeypatch):
+    from detlab.commalg import homs
+
+    calls = checked_against_reference(monkeypatch, homs)
+    end = endomorphism_ring(generic_setup(3, 3, 1, char=32003))
+    # generators and relations of each of the 9 blocks
+    assert len(end.blocks) == 9 and len(calls) == 18
+
+
+@st.composite
+def graded_inputs(draw):
+    """A ring in 2-3 variables, a graded free module of rank 1-2, random
+    homogeneous vectors in it, optionally a homogeneous quotient, and
+    candidates that are members: sums of two multiples of the others, so
+    that membership tests need the S-pairs of the candidate's degree."""
+    nvars = draw(st.integers(2, 3))
+    ring = PolyRing(nvars, draw(st.sampled_from([0, 32003])))
+    degrees = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+    def monomial(degree):
+        picks = draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree))
+        return tuple(picks.count(i) for i in range(nvars))
+
+    def vector():
+        total = draw(st.integers(1, 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            pos = draw(st.integers(0, len(degrees) - 1))
+            terms[(pos, monomial(total - degrees[pos]))] = ring.coeff(draw(coeff))
+        return Vector(ring, terms)
+
+    def member(pool):
+        a, b = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2))
+        da, db = a.degree(degrees), b.degree(degrees)
+        total = max(da, db) + draw(st.integers(0, 1))
+        return a.poly_scaled(ring.monomial(monomial(total - da), draw(coeff))) + b.poly_scaled(
+            ring.monomial(monomial(total - db), draw(coeff))
+        )
+
+    vectors = [vector() for _ in range(draw(st.integers(2, 6)))]
+    quotient = [vector() for _ in range(draw(st.integers(0, 2)))]
+    vectors += [member(vectors + quotient) for _ in range(draw(st.integers(0, 4)))]
+    return ring, vectors, degrees, groebner(ring, quotient, degrees=degrees)
+
+
+@given(graded_inputs())
+@settings(max_examples=150, deadline=None)
+def test_minimal_generators_matches_reference_property(case):
+    ring, vectors, degrees, quotient_gb = case
+    assert minimal_generators(ring, vectors, degrees, quotient_gb) == (
+        reference_minimal_generators(ring, vectors, degrees, quotient_gb)
+    )
 
 
 def test_module_groebner_over_prime_field():
