@@ -8,8 +8,6 @@ from .groebner import (
     groebner_ideal,
     kernel_vectors,
     minimal_generators,
-    normal_form,
-    syzygies,
     top_key,
 )
 from .hilbert import free_module_series, hilbert_series

@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import groupby, islice
 from typing import Callable, Iterable, Sequence
 
-from .modules import FreeModule, ModuleMap, Vector
+from .modules import ModuleMap, Vector
 from .rings import PolyRing
 
 Term = tuple[int, tuple[int, ...]]
@@ -494,14 +494,6 @@ def groebner_ideal(ring: PolyRing, polys) -> list:
     return [Polynomial(ring, {m: c for (_, m), c in v.terms.items()}) for v in gb]
 
 
-def normal_form(ring: PolyRing, v: Vector, basis: Iterable[Vector],
-                key: Callable[[Term], tuple] = top_key) -> Vector:
-    """Normal form against an arbitrary basis (assumed a Groebner basis)."""
-    eng = GroebnerEngine(ring, key)
-    eng.seed(basis)
-    return eng.normal_form(v)
-
-
 def kernel_vectors(
     fmap: ModuleMap, target_quotient_gb: Sequence[Vector] = ()
 ) -> list[Vector]:
@@ -528,14 +520,6 @@ def kernel_vectors(
     out = [eng._vector(r).restricted(t, t + s, -t) for r in eng._interreduced(keep)]
     out.sort(key=lambda v: [(p, grevlex_key(m)) for p, m in sorted(v.terms)])
     return out
-
-
-def syzygies(fmap: ModuleMap) -> ModuleMap:
-    """Map whose image is the kernel of fmap (columns generate the kernel)."""
-    cols = kernel_vectors(fmap)
-    degs = tuple(c.degree(fmap.source.degrees) for c in cols)
-    src = FreeModule(fmap.source.ring, degs)
-    return ModuleMap(src, fmap.source, cols)
 
 
 def minimal_generators(

@@ -1,11 +1,10 @@
 """Determinantal rings and their distinguished Cohen-Macaulay modules.
 
 Builds the quotient of a polynomial ring by the (l+1)-minors of a generic
-matrix, the images of wedge powers (and Schur-functor images) of the
-transposed generic map over that quotient, their endomorphism blocks, and the
-certificates: projective dimension equals the expected codimension
-(Auslander-Buchsbaum), transpose-side duality, and box-complement symmetry
-of the endomorphism ring.
+matrix, the images of wedge powers of the transposed generic map over that
+quotient, their endomorphism blocks, and the certificates: projective
+dimension equals the expected codimension (Auslander-Buchsbaum),
+transpose-side duality, and box-complement symmetry of the endomorphism ring.
 """
 
 from __future__ import annotations
@@ -27,8 +26,10 @@ from .commalg import (
     groebner_ideal,
     hilbert_series,
     hom_module,
+    kernel_vectors,
     matrix_rank,
     membership_engine,
+    minimal_generators,
     poly_det,
     random_rank,
 )
@@ -211,185 +212,19 @@ def prod_binomial(l: int, shape) -> int:
     return out
 
 
-def _image_module(setup: DetSetup, shape: Partition, fmap: ModuleMap) -> ImageModule:
-    from .commalg import kernel_vectors, minimal_generators
-
-    ring = setup.ring
-    qgb = setup.ideal_gb_vectors(fmap.target.rank)
-    rel = kernel_vectors(fmap, qgb)
-    rel = minimal_generators(ring, rel, fmap.source.degrees)
-    pres = ModulePresentation.from_relations(fmap.source, rel)
-    return ImageModule(shape, setup, fmap, pres)
-
-
 def wedge_module(setup: DetSetup, shape) -> ImageModule:
     """Image of the wedge-power map over the quotient; the empty shape gives
     the quotient ring itself."""
     shape = Partition.of(shape)
-    return _image_module(setup, shape, wedge_alpha_map(setup, shape))
+    fmap = wedge_alpha_map(setup, shape)
+    rel = kernel_vectors(fmap, setup.ideal_gb_vectors(fmap.target.rank))
+    rel = minimal_generators(setup.ring, rel, fmap.source.degrees)
+    pres = ModulePresentation.from_relations(fmap.source, rel)
+    return ImageModule(shape, setup, fmap, pres)
 
 
 def tilting_summands(setup: DetSetup) -> list[ImageModule]:
     return [wedge_module(setup, a) for a in setup.box()]
-
-
-# ---------------------------------------------------------------------------
-# Schur-functor images (characteristic-free straightening realization)
-
-
-def sym_basis(rank: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of the given total degree, in a fixed (sorted) order."""
-
-    def rec(i, remaining):
-        if i == rank - 1:
-            yield (remaining,)
-            return
-        for e in range(remaining + 1):
-            for rest in rec(i + 1, remaining - e):
-                yield (e,) + rest
-
-    if rank == 0:
-        return [()] if degree == 0 else []
-    return sorted(rec(0, degree))
-
-
-def sym_power_map(fmap: ModuleMap, a: int) -> ModuleMap:
-    """Symmetric power of a map on the monomial bases of source and target."""
-    ring = fmap.source.ring
-    sbasis = sym_basis(fmap.source.rank, a)
-    tbasis = sym_basis(fmap.target.rank, a)
-    tindex = {e: i for i, e in enumerate(tbasis)}
-    src = FreeModule(
-        ring,
-        tuple(sum(e * d for e, d in zip(mu, fmap.source.degrees)) for mu in sbasis),
-    )
-    tgt = FreeModule(
-        ring,
-        tuple(sum(e * d for e, d in zip(mu, fmap.target.degrees)) for mu in tbasis),
-    )
-    cols = []
-    for mu in sbasis:
-        # expand the product of the chosen source columns
-        acc: dict[tuple[int, ...], Polynomial] = {(0,) * fmap.target.rank: ring.one()}
-        for j, e in enumerate(mu):
-            colpolys = [fmap.entry(i, j) for i in range(fmap.target.rank)]
-            for _ in range(e):
-                nxt: dict[tuple[int, ...], Polynomial] = {}
-                for expo, poly in acc.items():
-                    for i, entry in enumerate(colpolys):
-                        if entry.is_zero():
-                            continue
-                        ne = tuple(
-                            x + (1 if t == i else 0) for t, x in enumerate(expo)
-                        )
-                        add = poly * entry
-                        nxt[ne] = nxt[ne] + add if ne in nxt else add
-                acc = nxt
-        terms: dict = {}
-        for expo, poly in acc.items():
-            pos = tindex[expo]
-            for mo, c in poly.terms.items():
-                cur = ring.coeff_add(terms.get((pos, mo), 0), c)
-                if cur:
-                    terms[(pos, mo)] = cur
-                else:
-                    terms.pop((pos, mo), None)
-        cols.append(Vector(ring, terms))
-    return ModuleMap(src, tgt, cols)
-
-
-def _perm_sign(perm) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv % 2 else 1
-
-
-def straightening_matrix(shape, dim: int) -> list[list[int]]:
-    """Integer matrix of the canonical map from the tensor of column wedge
-    powers to the tensor of row symmetric powers.
-
-    Columns: tuples of subsets, one per diagram column; rows: tuples of
-    monomials, one per diagram row.  Each column wedge is expanded by signed
-    shuffles down its diagram column, then each diagram row multiplies into
-    its symmetric power.  The image is the characteristic-free Schur module.
-    """
-    shape = Partition.of(shape)
-    rows_alpha = shape.parts
-    cols_alpha = conjugate(shape).parts
-    col_subsets = [list(itertools.combinations(range(dim), c)) for c in cols_alpha]
-    row_bases = [sym_basis(dim, a) for a in rows_alpha]
-    row_index = [{e: i for i, e in enumerate(rb)} for rb in row_bases]
-    ncols = 1
-    for cs in col_subsets:
-        ncols *= len(cs)
-    nrows = 1
-    for rb in row_bases:
-        nrows *= len(rb)
-    matrix = [[0] * ncols for _ in range(nrows)]
-    for cidx, choice in enumerate(itertools.product(*col_subsets)):
-        for perms in itertools.product(
-            *[itertools.permutations(sub) for sub in choice]
-        ):
-            sign = 1
-            for p in perms:
-                sign *= _perm_sign(p)
-            mus = []
-            for i, a in enumerate(rows_alpha):
-                expo = [0] * dim
-                for j in range(a):
-                    expo[perms[j][i]] += 1
-                mus.append(tuple(expo))
-            ridx = 0
-            for i, mu in enumerate(mus):
-                ridx = ridx * len(row_bases[i]) + row_index[i][mu]
-            matrix[ridx][cidx] += sign
-    return matrix
-
-
-def schur_map(setup: DetSetup, shape) -> ModuleMap:
-    """Composite map whose image over the quotient is the Schur-functor image:
-    column wedges of the m-side, straightened, then pushed through the row
-    symmetric powers of the transposed generic map."""
-    shape = Partition.of(shape)
-    ring = setup.ring
-    if not shape.parts:
-        return _identity_map(ring)
-    if not shape.fits_in_box(setup.l, setup.m - setup.l):
-        raise ValueError(
-            f"{shape.parts} outside the {setup.l} x {setup.m - setup.l} box"
-        )
-    phi = phi_dual(setup)
-    sym = _identity_map(ring)
-    for a in shape.parts:
-        sym = sym.kronecker(sym_power_map(phi, a))
-    d = straightening_matrix(shape, setup.m)
-    cols_alpha = conjugate(shape).parts
-    import math
-
-    src_rank = 1
-    for c in cols_alpha:
-        src_rank *= math.comb(setup.m, c)
-    src = FreeModule(ring, (0,) * src_rank)
-    cols = []
-    for c in range(src_rank):
-        acc = Vector(ring, {})
-        for r in range(len(d)):
-            if d[r][c]:
-                coef = ring.coeff(d[r][c])
-                if coef:
-                    acc = acc + sym.columns[r].scaled(coef)
-        cols.append(acc)
-    return ModuleMap(src, sym.target, cols)
-
-
-def schur_module(setup: DetSetup, shape) -> ImageModule:
-    """Image of the Schur-functor map over the quotient ring."""
-    shape = Partition.of(shape)
-    return _image_module(setup, shape, schur_map(setup, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +355,12 @@ class EndomorphismRing:
     blocks: dict[tuple[int, int], HomModule]
 
 
-def endomorphism_ring(setup: DetSetup, summands: list[ImageModule] | None = None) -> EndomorphismRing:
+def endomorphism_ring(setup: DetSetup) -> EndomorphismRing:
     """All Hom blocks between the box wedge-image modules; requires m <= n for
     the Cohen-Macaulay certification route."""
     if setup.m > setup.n:
         raise ValueError("endomorphism certification requires m <= n; flip the setup")
-    if summands is None:
-        summands = tilting_summands(setup)
+    summands = tilting_summands(setup)
     blocks = {}
     for i, a in enumerate(summands):
         for j, b in enumerate(summands):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from detlab.bott import bott_cohomology
 from detlab.commalg import (
     FreeModule,
     ModuleMap,
@@ -28,15 +29,12 @@ from detlab.detvar import (
     prod_binomial,
     quotient_presentation,
     rank_check,
-    schur_module,
-    straightening_matrix,
-    sym_power_map,
     tilting_summands,
     wedge_alpha_map,
     wedge_module,
 )
 from detlab.partitions import Partition, conjugate, weyl_dim
-from detlab.schurcalc import exterior_expand
+from detlab.schurcalc import SchurSum, cauchy_expand, exterior_expand
 
 
 def test_generic_setup_examples():
@@ -249,60 +247,28 @@ def test_single_column_shapes_match_plain_wedges():
         assert [c.terms for c in mod.fmap.columns] == [c.terms for c in direct.columns]
 
 
-def test_straightening_matrix_one_column():
-    # shape (1,1): wedge^2 V -> V x V, antisymmetrization
-    d = straightening_matrix(Partition((1, 1)), 2)
-    assert len(d) == 4 and len(d[0]) == 1
-    col = [row[0] for row in d]
-    # basis of V x V: (e0e0, e0e1, e1e0, e1e1); image e0^e1 - e1^e0
-    assert col == [0, 1, -1, 0] or col == [0, -1, 1, 0]
+def bott_h0(l, m, n, alpha, t) -> int:
+    """dim H^0(Grass(l, m), E_alpha x Sym_t(C^n x Q)), with E_alpha the
+    characteristic-zero expansion of the column wedges of Q."""
+    sym_t = SchurSum(l)
+    for g, (_, dim_n) in cauchy_expand(t, l, n):
+        sym_t.add(g.padded(l), dim_n)
+    return sum(
+        mult * bott_cohomology(l, m, x, (0,) * (m - l)).dim(0)
+        for x, mult in exterior_expand(alpha, l).tensor(sym_t).items()
+    )
 
 
-def test_straightening_matrix_one_row():
-    # shape (2): V x V -> Sym^2 V, multiplication of the two slots
-    d = straightening_matrix(Partition((2,)), 2)
-    assert len(d) == 3 and len(d[0]) == 4
-    for c in range(4):
-        col = [d[r][c] for r in range(3)]
-        assert sorted(col) == [0, 0, 1]
-    # the mixed monomial receives both e0 x e1 and e1 x e0
-    assert sorted(sum(row) for row in d) == [1, 1, 2]
-
-
-def test_schur_module_identity_and_column_cases():
-    s = generic_setup(2, 3, 1)
-    n1 = schur_module(s, (1,))
-    t1 = wedge_module(s, (1,))
-    assert [v.terms for v in n1.presentation.relation_vectors] == [
-        v.terms for v in t1.presentation.relation_vectors
-    ]
-    s332 = generic_setup(3, 3, 2)
-    n11 = schur_module(s332, (1, 1))
-    t11 = wedge_module(s332, (1, 1))
-    assert hilbert_series(n11.presentation) == hilbert_series(t11.presentation)
-
-
-def test_schur_module_sym_case():
-    s = generic_setup(3, 3, 1)
-    n2 = schur_module(s, (2,))
-    t2 = wedge_module(s, (2,))
-    assert hilbert_series(n2.presentation) == hilbert_series(t2.presentation)
-    cert = certify_mcm(n2.presentation, s, Partition((2,)))
-    assert cert.passed
-
-
-def test_schur_decomposition_of_wedge_series():
-    """In characteristic zero the wedge-image series is the multiplicity-
-    weighted sum of Schur-image series."""
-    for m, n, l in [(2, 3, 1), (3, 3, 2)]:
-        s = generic_setup(m, n, l)
+def test_bott_predicts_wedge_image_hilbert_functions():
+    """The Groebner side against the Bott side, computed independently: the
+    degree-t piece of each box wedge image T_alpha is the space of global
+    sections of its bundle twisted by Sym_t(C^n x Q), for t = 0..4."""
+    for m, n, l, char in [(2, 3, 1, 0), (3, 3, 1, 0), (3, 3, 2, 0), (3, 4, 2, 32003)]:
+        s = generic_setup(m, n, l, char=char)
         for alpha in s.box():
-            total = None
-            for w, mult in exterior_expand(alpha, s.l).items():
-                shape = Partition(tuple(x for x in w if x))
-                piece = hilbert_series(schur_module(s, shape).presentation).scaled(mult)
-                total = piece if total is None else total + piece
-            assert total == hilbert_series(wedge_module(s, alpha).presentation)
+            got = hilbert_series(wedge_module(s, alpha).presentation).coefficients(4)
+            want = [bott_h0(l, m, n, alpha, t) for t in range(5)]
+            assert got == want, ((m, n, l, char), alpha.parts, got, want)
 
 
 def test_tilting_summand_counts():
