@@ -6,8 +6,11 @@ term comes from the dotted Weyl-group action on the concatenated weight: add
 rho = (m-1, ..., 0); a repeated entry kills everything, otherwise the unique
 nonzero degree is the inversion count.
 
-Every vanishing checker runs one loop: it builds the Q-side Schur sum of each
-case and takes its cohomology term by term.  The box wedge powers of Q and
+A sum of bundles is written in one way, as a Q-side SchurSum (trivial on the
+R side); `bott_cohomology` takes a single pure term with an R-side weight.
+`cohomology_of(m, qsum)` takes the cohomology of qsum(Q) on
+Grass(qsum.rank, m) one pure term at a time, and every vanishing checker
+builds the Q-side sum of each case and calls it.  The box wedge powers of Q and
 their duals are expanded once per checker call, so each Hom pair is one
 SchurSum.tensor, tensored with Sym_t(aux x Q) degree by degree where the
 check is degreewise.  Bott's sort-and-sign and the Brauer-Klimyk tensor
@@ -25,87 +28,6 @@ from .partitions import Partition, enumerate_box, straighten, weyl_dim
 from .schurcalc import SchurSum, cauchy_expand, exterior_expand
 
 CHAR_ZERO_NOTE = "characteristic-zero cohomology oracle"
-
-
-# ---------------------------------------------------------------------------
-# Bundle expressions
-
-# factor tags: one weight on the quotient side or the sub side per factor
-def wedge_q(a: int):
-    return ("q", ("wedge", a))
-
-
-def wedge_q_dual(a: int):
-    return ("q", ("wedge_dual", a))
-
-
-def sym_q(t: int):
-    return ("q", ("sym", t))
-
-
-def det_q(k: int):
-    return ("q", ("det", k))
-
-
-def schur_q(weight: tuple[int, ...]):
-    return ("q", ("schur", tuple(weight)))
-
-
-def wedge_r(b: int):
-    return ("r", ("wedge", b))
-
-
-@dataclass(frozen=True)
-class BundleExpression:
-    """Formal tensor product of Schur-type factors in Q and R on Grass(l, m)."""
-
-    l: int
-    m: int
-    factors: tuple = ()
-
-    def __post_init__(self):
-        if not (1 <= self.l < self.m):
-            raise ValueError("need 1 <= l < m")
-
-    def _factor_weight(self, side: str, spec) -> tuple[int, ...]:
-        rank = self.l if side == "q" else self.m - self.l
-        kind, arg = spec
-        if kind == "wedge":
-            if not 0 <= arg <= rank:
-                raise ValueError(f"wedge power {arg} out of range for rank {rank}")
-            return (1,) * arg + (0,) * (rank - arg)
-        if kind == "wedge_dual":
-            if not 0 <= arg <= rank:
-                raise ValueError(f"wedge power {arg} out of range for rank {rank}")
-            return (0,) * (rank - arg) + (-1,) * arg
-        if kind == "sym":
-            if arg < 0:
-                raise ValueError("negative symmetric power")
-            return (arg,) + (0,) * (rank - 1)
-        if kind == "det":
-            return (arg,) * rank
-        if kind == "schur":
-            w = tuple(arg)
-            if len(w) != rank:
-                raise ValueError(f"weight {w} has wrong length for rank {rank}")
-            if any(w[i] < w[i + 1] for i in range(rank - 1)):
-                raise ValueError(f"weight {w} is not dominant")
-            return w
-        raise ValueError(f"unknown factor kind {kind}")
-
-    def _sums(self) -> tuple[SchurSum, SchurSum]:
-        """The Q-side and R-side Schur sums whose product is this bundle."""
-        sums = {"q": SchurSum.unit(self.l), "r": SchurSum.unit(self.m - self.l)}
-        for side, spec in self.factors:
-            factor = SchurSum(sums[side].rank)
-            factor.add(self._factor_weight(side, spec))
-            sums[side] = sums[side].tensor(factor)
-        return sums["q"], sums["r"]
-
-    def normalize(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """Expand to pure terms (q_weight, r_weight, multiplicity)."""
-        qsum, rsum = self._sums()
-        return [(x, y, mx * my) for x, mx in qsum.items() for y, my in rsum.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +68,9 @@ class CohomologyTable:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def vanishes_above(self, cutoff: int = 0) -> bool:
-        return all(deg <= cutoff for deg in self.entries)
+    def vanishes_above(self) -> bool:
+        """No cohomology in any positive degree."""
+        return all(deg <= 0 for deg in self.entries)
 
 
 def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> CohomologyTable:
@@ -168,26 +91,13 @@ def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> Cohom
     return table
 
 
-def _cohomology(m: int, qsum: SchurSum, rsum: SchurSum) -> CohomologyTable:
-    """Cohomology of qsum(Q) x rsum(R) on Grass(qsum.rank, m), term by pure term."""
+def cohomology_of(m: int, qsum: SchurSum) -> CohomologyTable:
+    """Cohomology of qsum(Q) on Grass(qsum.rank, m), term by pure term."""
     table = CohomologyTable(m)
-    for x, mx in qsum.items():
-        for y, my in rsum.items():
-            table.merge(bott_cohomology(qsum.rank, m, x, y), scale=mx * my)
+    unit = (0,) * (m - qsum.rank)
+    for x, mult in qsum.items():
+        table.merge(bott_cohomology(qsum.rank, m, x, unit), scale=mult)
     return table
-
-
-def cohomology_of(expr: BundleExpression) -> CohomologyTable:
-    """Cohomology of a bundle expression, term by pure term."""
-    return _cohomology(expr.m, *expr._sums())
-
-
-def serre_dual_term(l: int, m: int, x: tuple[int, ...], y: tuple[int, ...]):
-    """Weights of the Serre-dual pure term: dual bundle twisted by the
-    canonical bundle det(Q)^{-(m-l)} x det(R)^{l}."""
-    xd = tuple(-v for v in reversed(x))
-    yd = tuple(-v for v in reversed(y))
-    return (tuple(v - (m - l) for v in xd), tuple(v + l for v in yd))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +142,8 @@ def _report(check: str, parameters: dict, cases: list[CheckCase]) -> CheckReport
 
 def _case(inputs: dict, m: int, qsum: SchurSum) -> CheckCase:
     """One case: qsum(Q) on Grass(qsum.rank, m) has no higher cohomology."""
-    table = _cohomology(m, qsum, SchurSum.unit(m - qsum.rank))
-    return CheckCase(inputs, table.degrees(), table.vanishes_above(0))
+    table = cohomology_of(m, qsum)
+    return CheckCase(inputs, table.degrees(), table.vanishes_above())
 
 
 def _hom_pairs(l: int, m: int, twist: int = 0):

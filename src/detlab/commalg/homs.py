@@ -31,8 +31,6 @@ class HomModule(ModulePresentation):
     relations are among those generators.
     """
 
-    source: ModulePresentation = None
-    target: ModulePresentation = None
     ambient: FreeModule = None
     hom_generators: list[Vector] = None
 
@@ -116,8 +114,6 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> HomModule:
     return HomModule(
         generators=hom_free,
         relations=relmap,
-        source=M,
-        target=N,
         ambient=ambient,
         hom_generators=list(gens),
     )

@@ -86,10 +86,6 @@ def generic_setup(m: int, n: int, l: int, char: int = 0) -> DetSetup:
     names = tuple(f"x{i + 1}_{j + 1}" for i in range(m) for j in range(n))
     ring = PolyRing(m * n, char, names)
     matrix = [[ring.variable(i * n + j) for j in range(n)] for i in range(m)]
-    return _setup_from_matrix(m, n, l, ring, matrix)
-
-
-def _setup_from_matrix(m, n, l, ring, matrix) -> DetSetup:
     minors = _all_minors(matrix, l + 1)
     gb = groebner_ideal(ring, minors)
     pres = ModulePresentation.from_relations(
@@ -105,9 +101,13 @@ def _setup_from_matrix(m, n, l, ring, matrix) -> DetSetup:
 
 
 def flip_setup(setup: DetSetup) -> DetSetup:
-    """Same ring and ideal, with the generic matrix transposed (m and n swap)."""
+    """Same ring and ideal, with the generic matrix transposed (m and n swap).
+
+    A transpose has the same minors, so the minors, their Groebner basis and
+    the codimension are reused."""
     t = [[setup.matrix[i][j] for i in range(setup.m)] for j in range(setup.n)]
-    return _setup_from_matrix(setup.n, setup.m, setup.l, setup.ring, t)
+    return DetSetup(setup.n, setup.m, setup.l, setup.ring, t, setup.minors,
+                    setup.ideal_gb, setup.codim)
 
 
 def quotient_presentation(setup: DetSetup) -> ModulePresentation:

@@ -83,8 +83,7 @@ def test_criterion_5_wedge_modules_are_mcm():
 
 
 def test_criterion_6_endomorphism_ring_mcm():
-    cases = suite.end_mcm_cases([(2, 2, 1), (2, 3, 1), (3, 3, 2)], char=0,
-                                blockwise=(3, 3, 1))
+    cases = suite.end_mcm_cases([(2, 2, 1), (2, 3, 1), (3, 3, 2), (3, 3, 1)], char=0)
     report(
         "6 endomorphism blocks all have pd = codim (incl. 3,3,1 blockwise)",
         all(c["pass"] for c in cases),

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from detlab import bott
 from detlab.bott import (
-    BundleExpression,
     bott_cohomology,
     check_dualizing_vanishing,
     check_fm_kernel,
@@ -11,15 +10,17 @@ from detlab.bott import (
     check_tilting_grass,
     check_tilting_springer,
     cohomology_of,
-    det_q,
-    schur_q,
-    serre_dual_term,
-    sym_q,
-    wedge_q,
-    wedge_q_dual,
-    wedge_r,
 )
 from detlab.partitions import all_partitions, weyl_dim
+from detlab.schurcalc import SchurSum
+
+
+def serre_dual_term(l, m, x, y):
+    """Weights of the Serre-dual pure term: dual bundle twisted by the
+    canonical bundle det(Q)^{-(m-l)} x det(R)^{l}."""
+    xd = tuple(-v for v in reversed(x))
+    yd = tuple(-v for v in reversed(y))
+    return (tuple(v - (m - l) for v in xd), tuple(v + l for v in yd))
 
 
 def test_line_bundles_on_p1():
@@ -35,19 +36,19 @@ def test_grass24_repeat_kills():
 
 
 def test_structure_sheaf():
-    t = cohomology_of(BundleExpression(2, 4, ()))
+    t = cohomology_of(4, SchurSum.unit(2))
     assert t.degrees() == {0: 1}
 
 
 def test_grass24_hom_shadow_vanishes_everywhere():
-    expr = BundleExpression(2, 4, (wedge_q_dual(2), sym_q(2)))
-    assert cohomology_of(expr).is_zero()
+    # (wedge^2 Q)^dual x Sym^2 Q
+    qsum = SchurSum(2, {(-1, -1): 1}).tensor(SchurSum(2, {(2, 0): 1}))
+    assert cohomology_of(4, qsum).is_zero()
 
 
 def test_top_wedge_sub_is_minus_one_twist():
     # wedge^(m-1) of the sub on projective (m-1)-space has no cohomology
-    expr = BundleExpression(1, 3, (wedge_r(2),))
-    assert cohomology_of(expr).is_zero()
+    assert bott_cohomology(1, 3, (0,), (1, 1)).is_zero()
 
 
 def test_rejects_non_dominant():
@@ -93,19 +94,21 @@ def test_global_sections_of_schur_bundles():
     for m in (2, 3, 4):
         for l in range(1, m):
             for delta in all_partitions(4, max_rows=l):
-                t = cohomology_of(
-                    BundleExpression(l, m, (schur_q(delta.padded(l)),))
-                )
+                t = cohomology_of(m, SchurSum(l, {delta.padded(l): 1}))
                 assert t.degrees() == {0: weyl_dim(delta.padded(m))}
 
 
 def test_euler_additivity():
-    expr = BundleExpression(2, 4, (wedge_q(1), wedge_q_dual(2), det_q(1)))
-    total = cohomology_of(expr)
+    # Q x (wedge^2 Q)^dual x det(Q) = Q, whose sections are the 4-dim space
+    qsum = SchurSum(2, {(1, 0): 1})
+    for w in ((-1, -1), (1, 1)):
+        qsum = qsum.tensor(SchurSum(2, {w: 1}))
+    total = cohomology_of(4, qsum)
     by_terms = 0
-    for x, y, mult in expr.normalize():
-        by_terms += mult * bott_cohomology(2, 4, x, y).euler()
+    for x, mult in qsum.items():
+        by_terms += mult * bott_cohomology(2, 4, x, (0, 0)).euler()
     assert total.euler() == by_terms
+    assert total.degrees() == {0: 4}
 
 
 def test_hom_vanishing_examples():
@@ -119,6 +122,19 @@ def test_hom_vanishing_rejects_bad_input():
         check_hom_vanishing(2, 4, (3, 1), ())  # alpha outside the box
     with pytest.raises(ValueError):
         check_hom_vanishing(2, 4, (2, 2), (1, 1, 1))  # delta too tall
+
+
+def test_checker_cases_go_through_cohomology_of(monkeypatch):
+    calls = []
+    inner = bott.cohomology_of
+
+    def counting(m, qsum):
+        calls.append(m)
+        return inner(m, qsum)
+
+    monkeypatch.setattr(bott, "cohomology_of", counting)
+    assert len(check_tilting_grass(1, 3).cases) == 9
+    assert len(calls) == 9
 
 
 def test_tilting_grass_counts():

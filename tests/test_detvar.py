@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -12,7 +13,9 @@ from detlab.commalg import (
     ModulePresentation,
     PolyRing,
     Vector,
+    groebner_ideal,
     hilbert_series,
+    poly_det,
 )
 from detlab.detvar import (
     ImageModule,
@@ -126,11 +129,7 @@ def test_wedge_alpha_map_shapes():
     w = wedge_alpha_map(s332, (1, 1))  # conjugate (2): one wedge-square factor
     assert (w.target.rank, w.source.rank) == (3, 3)
     # entries are 2-minors of the transpose, independently expanded
-    from detlab.commalg import poly_det
-
     xt = [[s332.matrix[j][i] for j in range(3)] for i in range(3)]
-    import itertools
-
     rows = list(itertools.combinations(range(3), 2))
     for a, rs in enumerate(rows):
         for b, cs in enumerate(rows):
@@ -297,6 +296,13 @@ def test_flip_setup_transposes():
     assert f.ring is s.ring
     assert f.codim == s.codim
     assert f.matrix[0][1].terms == s.matrix[1][0].terms
+    # the reused basis equals one computed afresh from the transpose's 2-minors
+    minors = [
+        poly_det([[f.matrix[i][j] for j in (0, 1)] for i in rows])
+        for rows in itertools.combinations(range(3), 2)
+    ]
+    fresh = groebner_ideal(s.ring, minors)
+    assert [p.terms for p in f.ideal_gb] == [p.terms for p in fresh]
 
 
 def test_check_flip_small():
