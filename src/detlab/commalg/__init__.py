@@ -1,21 +1,14 @@
 """Exact commutative algebra: Groebner bases, resolutions, Hilbert series, Hom."""
 
-from .groebner import (
-    GroebnerEngine,
-    elim_key,
-    grevlex_key,
-    groebner,
-    groebner_ideal,
-    kernel_vectors,
-    minimal_generators,
-    top_key,
-)
+from .groebner import GroebnerEngine, groebner, kernel_vectors, minimal_generators
 from .hilbert import free_module_series, hilbert_series
 from .homs import (
     HomModule,
+    block_copies,
+    contains,
     hom_module,
+    image_presentation,
     matrix_rank,
-    membership_engine,
     random_rank,
 )
 from .modules import (
@@ -24,14 +17,8 @@ from .modules import (
     ModuleMap,
     ModulePresentation,
     Vector,
-    map_from_json,
-    map_to_json,
-    poly_from_json,
-    poly_to_json,
     presentation_from_json,
     presentation_to_json,
-    ring_from_json,
-    ring_to_json,
 )
-from .resolution import Resolution, free_resolution
+from .resolution import free_resolution
 from .rings import Polynomial, PolyRing, poly_det

@@ -1,10 +1,11 @@
 """Buchberger engine for submodules of graded free modules.
 
 Monomial order: graded reverse lexicographic on ring monomials, extended
-term-over-position to module terms.  Kernels are computed by elimination: a
-block order makes every target-component term larger than every
-source-component term, so basis elements supported in the source block cut
-out the kernel.
+term-over-position to module terms.  The one other order is the block
+elimination order of `kernel_vectors`: an engine built with `split=t` makes
+every term at a position below `t` (the target block) larger than every term
+at or above it (the source block), so basis elements supported in the source
+block cut out the kernel.
 
 Packed terms.  Inside the engine a module term `(pos, mono)` is one Python
 int whose natural order is the term order.  From the most significant end it
@@ -23,9 +24,8 @@ zero in a term.  Hence
 A term may have total degree at most `DEG_MAX` (2**15 - 1) and position at
 most `POS_MAX` (2**16 - 1); beyond either the engine raises `OverflowError`
 instead of carrying into the next field, both where terms enter and where a
-multiplication could leave the range.  `Vector`, the order keys `top_key`,
-`elim_key` and `grevlex_key`, and everything this module returns keep the
-tuple form `(pos, mono)`.
+multiplication could leave the range.  `Vector`, `grevlex_key` and everything
+this module returns keep the tuple form `(pos, mono)`.
 
 Coefficients: over F_p they are ints in [0, p).  In characteristic zero they
 stay ints inside the engine while they are integral (the determinantal
@@ -43,7 +43,7 @@ import heapq
 import struct
 from fractions import Fraction
 from itertools import groupby, islice
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .modules import ModuleMap, Vector
 from .rings import PolyRing
@@ -60,32 +60,11 @@ def grevlex_key(mono: tuple[int, ...]):
     return (sum(mono), tuple(-e for e in reversed(mono)))
 
 
-def top_key(term: Term):
-    pos, mono = term
-    return (0, grevlex_key(mono), -pos)
-
-
-class _BlockKey:
-    """Block order key: positions below `split` dominate everything else."""
-
-    __slots__ = ("split",)
-
-    def __init__(self, split: int):
-        self.split = split
-
-    def __call__(self, term: Term):
-        pos, mono = term
-        return (1 if pos < self.split else 0, grevlex_key(mono), -pos)
-
-
-def elim_key(split: int) -> Callable[[Term], tuple]:
-    """Block order: positions below `split` dominate everything else."""
-    return _BlockKey(split)
-
-
 class TermCodec:
-    """Packs module terms into ints ordered like `top_key` (split 0) or
-    `elim_key(split)`; see the module docstring for the layout."""
+    """Packs module terms into ints ordered like the term order: grevlex
+    term-over-position, with positions below `split` dominating everything
+    else (no elimination block when `split` is 0).  See the module docstring
+    for the layout."""
 
     def __init__(self, nvars: int, split: int = 0):
         self.nvars = nvars
@@ -147,14 +126,6 @@ class TermCodec:
         return ((self.exp_max - (gk & self.exp_mask)) + self.exp_max) & self.guards
 
 
-def _codec_for(ring: PolyRing, key) -> TermCodec:
-    if key is top_key:
-        return TermCodec(ring.nvars)
-    if isinstance(key, _BlockKey):
-        return TermCodec(ring.nvars, key.split)
-    raise ValueError("the engine supports the top_key and elim_key orders only")
-
-
 class _Elt:
     """Basis element: packed terms, lead first, plus precomputed lead data."""
 
@@ -180,19 +151,20 @@ class _Elt:
 class GroebnerEngine:
     """Incremental Buchberger over a free module.
 
-    `key` is `top_key` or an `elim_key(split)`.  `degrees` (degree of each
-    position) only steers pair selection; it is the grading of the ambient
-    free module when known.
+    `degrees` (degree of each position) only steers pair selection; it is
+    the grading of the ambient free module when known.  `split` selects the
+    term order: 0 is grevlex term-over-position, and `t > 0` is the block
+    elimination order in which positions below `t` dominate everything else.
     """
 
     def __init__(
         self,
         ring: PolyRing,
-        key: Callable[[Term], tuple] = top_key,
         degrees: Sequence[int] | None = None,
+        split: int = 0,
     ):
         self.ring = ring
-        self.codec = _codec_for(ring, key)
+        self.codec = TermCodec(ring.nvars, split)
         self.degrees = tuple(degrees) if degrees is not None else None
         self.basis: list[_Elt] = []
         # packed position field -> basis elements led there, in index order
@@ -475,23 +447,13 @@ def _integral(c):
 def groebner(
     ring: PolyRing,
     vectors: Iterable[Vector],
-    key: Callable[[Term], tuple] = top_key,
     degrees: Sequence[int] | None = None,
 ) -> list[Vector]:
     """Reduced Groebner basis of the submodule generated by `vectors`."""
-    eng = GroebnerEngine(ring, key, degrees)
+    eng = GroebnerEngine(ring, degrees)
     for v in vectors:
         eng.add_generator(v)
     return eng.reduced_basis()
-
-
-def groebner_ideal(ring: PolyRing, polys) -> list:
-    """Reduced Groebner basis of an ideal, as rank-one vectors' polynomials."""
-    from .rings import Polynomial
-
-    vecs = [Vector(ring, {(0, m): c for m, c in p.terms.items()}) for p in polys]
-    gb = groebner(ring, vecs)
-    return [Polynomial(ring, {m: c for (_, m), c in v.terms.items()}) for v in gb]
 
 
 def kernel_vectors(
@@ -499,15 +461,16 @@ def kernel_vectors(
 ) -> list[Vector]:
     """Generators (a Groebner basis) of the kernel of source -> target/Q.
 
-    `target_quotient_gb` must be a TOP-grevlex Groebner basis of the
-    submodule Q of the target that is being quotiented out (empty for a
-    plain kernel of a map of free modules).
+    `target_quotient_gb` must be a Groebner basis, in the engine's default
+    grevlex term-over-position order, of the submodule Q of the target that
+    is being quotiented out (empty for a plain kernel of a map of free
+    modules).
     """
     ring = fmap.source.ring
     t = fmap.target.rank
     s = fmap.source.rank
     degrees = fmap.target.degrees + fmap.source.degrees
-    eng = GroebnerEngine(ring, elim_key(t), degrees)
+    eng = GroebnerEngine(ring, degrees, split=t)
     eng.seed(target_quotient_gb)
     one = ring.coeff(1)
     for j in range(s):
@@ -546,7 +509,7 @@ def minimal_generators(
 
     for q in quotient_gb:
         q.degree(degrees)  # raises ValueError unless homogeneous
-    eng = GroebnerEngine(ring, top_key, degrees)
+    eng = GroebnerEngine(ring, degrees)
     eng.seed(quotient_gb)
     kept: list[Vector] = []
     candidates = sorted((v for v in vectors if not v.is_zero()), key=canon)

@@ -2,13 +2,15 @@
 
 The leading-term module of the relations splits per position into monomial
 ideals, so the series of the presentation is a degree-shifted sum of monomial
-quotient numerators, all over (1-t)^nvars.  The monomial numerator uses the
+quotient numerators, all over (1-t)^nvars.  The leads are read from a
+completed (not reduced) Groebner basis; minimalizing them per position
+drops the redundant ones.  The monomial numerator uses the
 classic variable-pivot recursion with memoization.
 """
 
 from __future__ import annotations
 
-from .groebner import groebner, top_key
+from .groebner import GroebnerEngine
 from .modules import HilbertSeries, ModulePresentation
 
 
@@ -76,15 +78,18 @@ def _mono_numerator(gens: tuple[tuple[int, ...], ...], cache: dict) -> dict[int,
     return out
 
 
-def hilbert_series(pres: ModulePresentation, relations_gb=None) -> HilbertSeries:
-    """Hilbert series of the presented module, numerator over (1-t)^nvars."""
+def hilbert_series(pres: ModulePresentation) -> HilbertSeries:
+    """Hilbert series of the presented module, numerator over (1-t)^nvars,
+    from the lead terms of one completed Groebner engine on its relations."""
     ring = pres.ring
     degrees = pres.gen_degrees
-    if relations_gb is None:
-        relations_gb = groebner(ring, pres.relation_vectors, degrees=degrees)
+    eng = GroebnerEngine(ring, degrees)
+    for v in pres.relation_vectors:
+        eng.add_generator(v)
+    eng.complete()
     leads: dict[int, list[tuple[int, ...]]] = {}
-    for v in relations_gb:
-        pos, mono = max(v.terms, key=top_key)
+    for g in eng.basis:
+        pos, mono = eng.codec.unpack(g.lead)
         leads.setdefault(pos, []).append(mono)
     num: dict[int, int] = {}
     cache: dict = {}

@@ -6,19 +6,18 @@ Hom(F0_M, N) = N^{a0}.  Concretely: a homomorphism is a tuple of vectors
 subject to every relation of M landing in the relation submodule of N.  The
 ambient free module is indexed by pairs (M-generator, N-generator), flattened
 M-major, with basis degree deg_N(i) - deg_M(k).
+
+Every quotient-module job of detlab has one path here: `block_copies` embeds
+a relation Groebner basis in a direct sum, `image_presentation` presents the
+image of a map into a quotient, and `contains` decides submodule membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .groebner import (
-    GroebnerEngine,
-    groebner,
-    kernel_vectors,
-    minimal_generators,
-    top_key,
-)
+from .groebner import GroebnerEngine, groebner, kernel_vectors, minimal_generators
 from .modules import FreeModule, ModuleMap, ModulePresentation, Vector
 from .rings import PolyRing
 
@@ -27,12 +26,13 @@ from .rings import PolyRing
 class HomModule(ModulePresentation):
     """Presentation of Hom(M, N) with the ambient bookkeeping kept around.
 
-    `hom_generators` are vectors in the ambient N^{a0}; `presentation`
-    relations are among those generators.
+    `hom_generators` are the generators as vectors in the ambient free module
+    F^{a0} (F the generator module of N); the relations are among those
+    generators.
     """
 
-    ambient: FreeModule = None
-    hom_generators: list[Vector] = None
+    ambient: FreeModule
+    hom_generators: list[Vector]
 
 
 def _ambient(M: ModulePresentation, N: ModulePresentation) -> FreeModule:
@@ -43,16 +43,22 @@ def _ambient(M: ModulePresentation, N: ModulePresentation) -> FreeModule:
     return FreeModule(M.ring, tuple(degs))
 
 
-def _embedded_relation_gb(N: ModulePresentation, blocks: int,
-                          gb: list[Vector]) -> list[Vector]:
+def block_copies(gb: Sequence[Vector], rank: int, blocks: int) -> list[Vector]:
     """Groebner basis of the relation submodule of N^blocks (block-diagonal),
-    from a Groebner basis `gb` of N's relations."""
-    b0 = N.generators.rank
-    out = []
-    for blk in range(blocks):
-        for v in gb:
-            out.append(v.shifted_positions(blk * b0))
-    return out
+    from a Groebner basis `gb` of the relations of N, a quotient of a free
+    module of the given rank."""
+    return [v.shifted_positions(blk * rank) for blk in range(blocks) for v in gb]
+
+
+def image_presentation(
+    fmap: ModuleMap, quotient_gb: Sequence[Vector] = ()
+) -> ModulePresentation:
+    """The image of `fmap` in target/Q, presented on the source generators by
+    a minimal generating set of the kernel; `quotient_gb` is a Groebner basis
+    of Q (see `kernel_vectors`)."""
+    rel = kernel_vectors(fmap, quotient_gb)
+    rel = minimal_generators(fmap.source.ring, rel, fmap.source.degrees)
+    return ModulePresentation.from_relations(fmap.source, rel)
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> HomModule:
@@ -93,38 +99,33 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> HomModule:
                         terms[(q * b0 + i, m)] = c
                 cols.append(Vector(ring, terms))
         constraint = ModuleMap(ambient, tgt, cols)
-        quotient_gb = _embedded_relation_gb(N, a1, n_gb)
-        gens = kernel_vectors(constraint, quotient_gb)
+        gens = kernel_vectors(constraint, block_copies(n_gb, b0, a1))
 
     # trim generators modulo the target relations: Hom lives in the quotient
     # of the preimage by the embedded relation submodule of N^{a0}
-    amb_quotient = _embedded_relation_gb(N, a0, n_gb)
+    amb_quotient = block_copies(n_gb, b0, a0)
     gens = minimal_generators(ring, gens, ambient.degrees, amb_quotient)
-    gen_degs = tuple(v.degree(ambient.degrees) for v in gens)
-    hom_free = FreeModule(ring, gen_degs)
+    hom_free = FreeModule(ring, tuple(v.degree(ambient.degrees) for v in gens))
     # relations among the hom generators, modulo N-relations in each block
-    if gens:
-        into_ambient = ModuleMap(hom_free, ambient, list(gens))
-        rels = kernel_vectors(into_ambient, amb_quotient)
-        rels = minimal_generators(ring, rels, gen_degs)
-    else:
-        rels = []
-    rel_degs2 = tuple(v.degree(gen_degs) for v in rels)
-    relmap = ModuleMap(FreeModule(ring, rel_degs2), hom_free, rels)
-    return HomModule(
-        generators=hom_free,
-        relations=relmap,
-        ambient=ambient,
-        hom_generators=list(gens),
-    )
+    pres = image_presentation(ModuleMap(hom_free, ambient, gens), amb_quotient)
+    return HomModule(pres.generators, pres.relations, ambient, gens)
 
 
 def membership_engine(ring: PolyRing, vectors, degrees) -> GroebnerEngine:
-    eng = GroebnerEngine(ring, top_key, degrees)
+    eng = GroebnerEngine(ring, degrees)
     for v in vectors:
         eng.add_generator(v)
     eng.complete()
     return eng
+
+
+def contains(
+    ring: PolyRing, gens: Iterable[Vector], degrees, vectors: Iterable[Vector]
+) -> bool:
+    """Does the submodule generated by `gens` contain every one of `vectors`?
+    Stops at the first vector outside it."""
+    eng = membership_engine(ring, gens, degrees)
+    return all(eng.normal_form(v).is_zero() for v in vectors)
 
 
 def random_rank(fmap: ModuleMap, point) -> int:

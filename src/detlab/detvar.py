@@ -22,14 +22,14 @@ from .commalg import (
     PolyRing,
     Polynomial,
     Vector,
+    block_copies,
+    contains,
     free_resolution,
-    groebner_ideal,
+    groebner,
     hilbert_series,
     hom_module,
-    kernel_vectors,
+    image_presentation,
     matrix_rank,
-    membership_engine,
-    minimal_generators,
     poly_det,
     random_rank,
 )
@@ -50,20 +50,14 @@ class DetSetup:
     ring: PolyRing
     matrix: list[list[Polynomial]]  # m rows, n columns
     minors: list[Polynomial]
-    ideal_gb: list[Polynomial]
+    # R = S / (minors) as a cyclic module; its relations are the reduced
+    # Groebner basis of the minors
+    quotient: ModulePresentation
     codim: int
 
     @property
     def char(self) -> int:
         return self.ring.char
-
-    def ideal_gb_vectors(self, rank: int) -> list[Vector]:
-        """The minor-ideal Groebner basis embedded at every position."""
-        out = []
-        for pos in range(rank):
-            for p in self.ideal_gb:
-                out.append(Vector(self.ring, {(pos, mo): c for mo, c in p.terms.items()}))
-        return out
 
     def box(self) -> list[Partition]:
         return list(enumerate_box(self.l, self.m - self.l))
@@ -81,42 +75,30 @@ def _all_minors(matrix, k: int) -> list[Polynomial]:
 def generic_setup(m: int, n: int, l: int, char: int = 0) -> DetSetup:
     """Generic m x n matrix of indeterminates and its (l+1)-minor ideal,
     with the codimension verified against (n-l)(m-l)."""
-    if not (0 <= l < min(m, n)):
-        raise ValueError("need 0 <= l < min(m, n)")
+    if not (1 <= l < min(m, n)):
+        raise ValueError("need 1 <= l < min(m, n)")
     names = tuple(f"x{i + 1}_{j + 1}" for i in range(m) for j in range(n))
     ring = PolyRing(m * n, char, names)
     matrix = [[ring.variable(i * n + j) for j in range(n)] for i in range(m)]
     minors = _all_minors(matrix, l + 1)
-    gb = groebner_ideal(ring, minors)
-    pres = ModulePresentation.from_relations(
-        FreeModule(ring, (0,)),
-        [Vector(ring, {(0, mo): c for mo, c in p.terms.items()}) for p in gb],
-    )
-    dim = hilbert_series(pres).canonical().denom_power
+    gb = groebner(ring, [Vector(ring, {(0, mo): c for mo, c in p.terms.items()}) for p in minors])
+    quotient = ModulePresentation.from_relations(FreeModule(ring, (0,)), gb)
+    dim = hilbert_series(quotient).canonical().denom_power
     codim = ring.nvars - dim
     expected = (n - l) * (m - l)
     if codim != expected:
         raise AssertionError(f"codim {codim} != expected {expected}")
-    return DetSetup(m, n, l, ring, matrix, minors, gb, codim)
+    return DetSetup(m, n, l, ring, matrix, minors, quotient, codim)
 
 
 def flip_setup(setup: DetSetup) -> DetSetup:
     """Same ring and ideal, with the generic matrix transposed (m and n swap).
 
-    A transpose has the same minors, so the minors, their Groebner basis and
-    the codimension are reused."""
+    A transpose has the same minors, so the minors, the quotient R and the
+    codimension are reused."""
     t = [[setup.matrix[i][j] for i in range(setup.m)] for j in range(setup.n)]
     return DetSetup(setup.n, setup.m, setup.l, setup.ring, t, setup.minors,
-                    setup.ideal_gb, setup.codim)
-
-
-def quotient_presentation(setup: DetSetup) -> ModulePresentation:
-    """The determinantal quotient ring as a cyclic module."""
-    ring = setup.ring
-    return ModulePresentation.from_relations(
-        FreeModule(ring, (0,)),
-        [Vector(ring, {(0, mo): c for mo, c in p.terms.items()}) for p in setup.minors],
-    )
+                    setup.quotient, setup.codim)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +177,6 @@ class ImageModule:
     fmap: ModuleMap
     presentation: ModulePresentation
 
-    @property
-    def generator_count(self) -> int:
-        return self.presentation.generators.rank
-
     def generic_rank(self) -> int:
         return prod_binomial(self.setup.l, self.shape)
 
@@ -217,10 +195,8 @@ def wedge_module(setup: DetSetup, shape) -> ImageModule:
     the quotient ring itself."""
     shape = Partition.of(shape)
     fmap = wedge_alpha_map(setup, shape)
-    rel = kernel_vectors(fmap, setup.ideal_gb_vectors(fmap.target.rank))
-    rel = minimal_generators(setup.ring, rel, fmap.source.degrees)
-    pres = ModulePresentation.from_relations(fmap.source, rel)
-    return ImageModule(shape, setup, fmap, pres)
+    quotient_gb = block_copies(setup.quotient.relation_vectors, 1, fmap.target.rank)
+    return ImageModule(shape, setup, fmap, image_presentation(fmap, quotient_gb))
 
 
 def tilting_summands(setup: DetSetup) -> list[ImageModule]:
@@ -263,16 +239,16 @@ def certify_mcm(
     minors and its minimal free resolution over the polynomial ring has
     length exactly the codimension (depth bookkeeping via
     Auslander-Buchsbaum)."""
-    eng = membership_engine(setup.ring, pres.relation_vectors, pres.gen_degrees)
-    annihilated = True
-    for p in setup.minors:
-        for i in range(pres.generators.rank):
-            v = pres.generators.basis_vector(i).poly_scaled(p)
-            if not eng.normal_form(v).is_zero():
-                annihilated = False
-                break
-        if not annihilated:
-            break
+    annihilated = contains(
+        setup.ring,
+        pres.relation_vectors,
+        pres.gen_degrees,
+        (
+            pres.generators.basis_vector(i).poly_scaled(p)
+            for p in setup.minors
+            for i in range(pres.generators.rank)
+        ),
+    )
     res = free_resolution(pres)
     return MCMCertificate(
         tuple(shape.parts) if isinstance(shape, Partition) else shape,
@@ -442,37 +418,22 @@ def check_flip(setup: DetSetup) -> FlipReport:
         raise ValueError("requires m <= n")
     ring = setup.ring
     flipped = flip_setup(setup)
-    rq = quotient_presentation(setup)
     reports = []
     for shape in setup.box():
         t1 = wedge_module(setup, shape)
         t2 = wedge_module(flipped, shape)
-        dual = hom_module(t1.presentation, rq)
+        dual = hom_module(t1.presentation, setup.quotient)
         # pairing columns: the transposed-side wedge matrix columns, read in
         # the ambient of Hom(t1, R) (one coordinate per t1 generator)
         w2 = t2.fmap
         tau_cols = list(w2.columns)
-        iq = membership_engine(
-            ring, setup.ideal_gb_vectors(dual.ambient.rank), dual.ambient.degrees
+        degs = dual.ambient.degrees
+        ideal = block_copies(setup.quotient.relation_vectors, 1, dual.ambient.rank)
+        well_defined = contains(
+            ring, ideal, degs, (w2.apply(v) for v in t2.presentation.relation_vectors)
         )
-        well_defined = all(
-            iq.normal_form(w2.apply(v)).is_zero()
-            for v in t2.presentation.relation_vectors
-        )
-        hom_eng = membership_engine(
-            ring,
-            dual.hom_generators + setup.ideal_gb_vectors(dual.ambient.rank),
-            dual.ambient.degrees,
-        )
-        columns_in_hom = all(hom_eng.normal_form(c).is_zero() for c in tau_cols)
-        surj_eng = membership_engine(
-            ring,
-            tau_cols + setup.ideal_gb_vectors(dual.ambient.rank),
-            dual.ambient.degrees,
-        )
-        surjective = all(
-            surj_eng.normal_form(g).is_zero() for g in dual.hom_generators
-        )
+        columns_in_hom = contains(ring, dual.hom_generators + ideal, degs, tau_cols)
+        surjective = contains(ring, tau_cols + ideal, degs, dual.hom_generators)
         series_match = hilbert_series(dual) == hilbert_series(
             t2.presentation
         ).shifted(shape.size)
@@ -545,7 +506,10 @@ def check_end_dual(setup: DetSetup) -> EndDualReport:
     The straight blocks Hom(T_a, T_b) are those of `endomorphism_ring`; the
     complement side of each pair is a lookup among them, since complementing
     permutes the box.  A complement that leaves the box fails the involution
-    check and gives its pairs shift None.
+    check and gives its pairs shift None.  The duals Hom(T_a, R) are the
+    blocks Hom(T_a, T_()) of the same ring: `hom_module` reads its target
+    only through the generator degrees and the reduced Groebner basis of the
+    relations, and these agree for T_() and R.
     """
     end = endomorphism_ring(setup)
     box = [t.shape for t in end.summands]
@@ -556,8 +520,7 @@ def check_end_dual(setup: DetSetup) -> EndDualReport:
         comp[a] in idx and box_complement(comp[a], setup.l, width) == a for a in box
     )
     series = {key: hilbert_series(block) for key, block in end.blocks.items()}
-    rq = quotient_presentation(setup)
-    duals = [hom_module(t.presentation, rq) for t in end.summands]
+    duals = [end.blocks[(i, idx[Partition()])] for i in range(len(box))]
     shifts: dict = {}
     total_dual: HilbertSeries | None = None
     for i, a in enumerate(box):

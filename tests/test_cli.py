@@ -113,6 +113,15 @@ def test_empty_checks_are_usage_errors():
         assert r.stderr.startswith("error: ")
 
 
+def test_l_zero_is_usage_error():
+    # l = 0 has an empty box; the setup rejects it before any checker runs
+    r = run("build-talpha", "--m", "2", "--n", "3", "--l", "0", "--alpha", "0", "--json")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+
+
 def test_check_rank_over_f2_returns():
     # the rank-2 points of F_2^{3x3} need draws that include 0
     r = run(

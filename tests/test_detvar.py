@@ -13,7 +13,7 @@ from detlab.commalg import (
     ModulePresentation,
     PolyRing,
     Vector,
-    groebner_ideal,
+    groebner,
     hilbert_series,
     poly_det,
 )
@@ -30,7 +30,6 @@ from detlab.detvar import (
     generic_setup,
     phi_dual,
     prod_binomial,
-    quotient_presentation,
     rank_check,
     tilting_summands,
     wedge_alpha_map,
@@ -56,6 +55,9 @@ def test_generic_setup_rejects_bad_l():
         generic_setup(2, 2, 2)
     with pytest.raises(ValueError):
         generic_setup(2, 2, -1)
+    # l = 0 has an empty box, which no box checker can take
+    with pytest.raises(ValueError):
+        generic_setup(2, 3, 0)
 
 
 def test_exterior_power_trivial_cases():
@@ -146,9 +148,8 @@ def test_wedge_alpha_map_rejects_outside_box():
 def test_wedge_module_empty_shape_is_quotient():
     s = generic_setup(2, 3, 1)
     t0 = wedge_module(s, ())
-    rq = quotient_presentation(s)
-    assert hilbert_series(t0.presentation) == hilbert_series(rq)
-    assert t0.generator_count == 1
+    assert hilbert_series(t0.presentation) == hilbert_series(s.quotient)
+    assert t0.presentation.generators.rank == 1
 
 
 def test_wedge_module_generator_counts():
@@ -156,7 +157,7 @@ def test_wedge_module_generator_counts():
     for alpha in s.box():
         mod = wedge_module(s, alpha)
         expected = math.prod(math.comb(3, c) for c in conjugate(alpha).parts)
-        assert mod.generator_count == expected
+        assert mod.presentation.generators.rank == expected
 
 
 def test_annihilation():
@@ -301,8 +302,10 @@ def test_flip_setup_transposes():
         poly_det([[f.matrix[i][j] for j in (0, 1)] for i in rows])
         for rows in itertools.combinations(range(3), 2)
     ]
-    fresh = groebner_ideal(s.ring, minors)
-    assert [p.terms for p in f.ideal_gb] == [p.terms for p in fresh]
+    fresh = groebner(
+        s.ring, [Vector(s.ring, {(0, mo): c for mo, c in p.terms.items()}) for p in minors]
+    )
+    assert [v.terms for v in f.quotient.relation_vectors] == [v.terms for v in fresh]
 
 
 def test_check_flip_small():

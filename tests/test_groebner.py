@@ -7,19 +7,19 @@ from hypothesis import given, settings, strategies as st
 from detlab.commalg import (
     FreeModule,
     GroebnerEngine,
+    HilbertSeries,
     ModuleMap,
     ModulePresentation,
     PolyRing,
     Polynomial,
     Vector,
-    elim_key,
     groebner,
-    groebner_ideal,
+    hilbert_series,
     kernel_vectors,
     minimal_generators,
-    top_key,
 )
 from detlab.commalg.groebner import DEG_MAX, POS_MAX, TermCodec, grevlex_key
+from detlab.commalg.hilbert import _minimalize, _mono_numerator
 from detlab.detvar import endomorphism_ring, generic_setup, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
@@ -28,6 +28,23 @@ X, Y = R2.variable(0), R2.variable(1)
 
 def ideal_vec(ring, p):
     return Vector(ring, {(0, m): c for m, c in p.terms.items()})
+
+
+def top_key(term):
+    """Reference order key: grevlex, extended term-over-position."""
+    pos, mono = term
+    return (0, grevlex_key(mono), -pos)
+
+
+def elim_key(split):
+    """Reference block order key: positions below `split` dominate."""
+    return lambda term: (1 if term[0] < split else 0, grevlex_key(term[1]), -term[0])
+
+
+def groebner_ideal(ring, polys):
+    """Reduced Groebner basis of an ideal, as polynomials."""
+    gb = groebner(ring, [ideal_vec(ring, p) for p in polys])
+    return [Polynomial(ring, {m: c for (_, m), c in v.terms.items()}) for v in gb]
 
 
 def test_groebner_examples():
@@ -142,7 +159,7 @@ def reference_minimal_generators(ring, vectors, degrees, quotient_gb=()):
     def canon(v):
         return (v.degree(degrees), [(p, grevlex_key(m), str(c)) for (p, m), c in sorted(v.terms.items())])
 
-    eng = GroebnerEngine(ring, top_key, degrees)
+    eng = GroebnerEngine(ring, degrees)
     eng.seed(quotient_gb)
     kept = []
     for v in sorted((v for v in vectors if not v.is_zero()), key=canon):
@@ -187,8 +204,9 @@ def test_minimal_generators_matches_reference_on_hom_inputs(monkeypatch):
 
     calls = checked_against_reference(monkeypatch, homs)
     end = endomorphism_ring(generic_setup(3, 3, 1, char=32003))
-    # generators and relations of each of the 9 blocks
-    assert len(end.blocks) == 9 and len(calls) == 18
+    # the 3 summand presentations, then generators and relations of each of
+    # the 9 blocks
+    assert len(end.summands) == 3 and len(end.blocks) == 9 and len(calls) == 3 + 18
 
 
 @st.composite
@@ -237,6 +255,31 @@ def test_minimal_generators_matches_reference_property(case):
     )
 
 
+def reference_hilbert_series(pres):
+    """The series from the leads of the reduced Groebner basis of the
+    relations."""
+    gb = groebner(pres.ring, pres.relation_vectors, degrees=pres.gen_degrees)
+    leads = {}
+    for v in gb:
+        pos, mono = max(v.terms, key=top_key)
+        leads.setdefault(pos, []).append(mono)
+    num = {}
+    cache = {}
+    for pos, d in enumerate(pres.gen_degrees):
+        for e, c in _mono_numerator(_minimalize(leads.get(pos, [])), cache).items():
+            num[e + d] = num.get(e + d, 0) + c
+    return HilbertSeries({e: c for e, c in num.items() if c}, pres.ring.nvars)
+
+
+@given(graded_inputs())
+@settings(max_examples=150, deadline=None)
+def test_hilbert_series_matches_reduced_basis_leads(case):
+    ring, vectors, degrees, quotient_gb = case
+    pres = ModulePresentation.from_relations(FreeModule(ring, degrees), vectors + quotient_gb)
+    got, want = hilbert_series(pres), reference_hilbert_series(pres)
+    assert (got.numerator, got.denom_power) == (want.numerator, want.denom_power)
+
+
 def test_module_groebner_over_prime_field():
     Rp = PolyRing(2, 32003, ("x", "y"))
     xp, yp = Rp.variable(0), Rp.variable(1)
@@ -268,7 +311,7 @@ def test_packed_range_is_guarded():
     # e0*x reduces to -e1*y^5 under the block order: a reduction step raises
     # the degree by 4, so e0*x^a is refused once a + 4 exceeds DEG_MAX
     one = R2.coeff(1)
-    eng = GroebnerEngine(R2, elim_key(1))
+    eng = GroebnerEngine(R2, split=1)
     eng.seed([Vector(R2, {(0, (1, 0)): one, (1, (0, 5)): one})])
     a = DEG_MAX - 4
     nf = eng.normal_form(Vector(R2, {(0, (a, 0)): one}))

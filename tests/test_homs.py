@@ -1,3 +1,5 @@
+import pytest
+
 from detlab.commalg import (
     FreeModule,
     ModuleMap,
@@ -8,7 +10,7 @@ from detlab.commalg import (
     hom_module,
     random_rank,
 )
-from detlab.detvar import generic_setup, quotient_presentation, wedge_module
+from detlab.detvar import generic_setup, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
 X, Y = R2.variable(0), R2.variable(1)
@@ -44,16 +46,31 @@ def test_end_of_wedge_module_is_quotient_ring():
     setup = generic_setup(2, 2, 1)
     t1 = wedge_module(setup, (1,))
     h = hom_module(t1.presentation, t1.presentation)
-    assert hilbert_series(h) == hilbert_series(quotient_presentation(setup))
+    assert hilbert_series(h) == hilbert_series(setup.quotient)
 
 
 def test_dual_reflexive_series():
     setup = generic_setup(2, 2, 1)
-    rq = quotient_presentation(setup)
+    rq = setup.quotient
     t1 = wedge_module(setup, (1,))
     d = hom_module(t1.presentation, rq)
     dd = hom_module(d, rq)
     assert hilbert_series(dd) == hilbert_series(t1.presentation)
+
+
+@pytest.mark.parametrize("mnl,char", [((2, 3, 1), 0), ((3, 3, 1), 32003)])
+def test_dual_into_empty_shape_image_is_dual_into_quotient(mnl, char):
+    """T_() presents R, so Hom(T_a, T_()) is Hom(T_a, R) vector for vector:
+    the End ring's column () holds the duals."""
+    setup = generic_setup(*mnl, char=char)
+    t0 = wedge_module(setup, ())
+    for alpha in setup.box():
+        ta = wedge_module(setup, alpha).presentation
+        a, b = hom_module(ta, t0.presentation), hom_module(ta, setup.quotient)
+        assert a.generators == b.generators
+        assert a.relation_vectors == b.relation_vectors
+        assert a.hom_generators == b.hom_generators
+        assert a.ambient == b.ambient
 
 
 def test_hom_grading_shifts():

@@ -15,7 +15,7 @@ from detlab.commalg import (
     hilbert_series,
     poly_det,
 )
-from detlab.detvar import generic_setup, quotient_presentation, wedge_module
+from detlab.detvar import generic_setup, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -35,7 +35,7 @@ def test_principal_ideal_length_one():
 
 
 def test_hypersurface_quotient():
-    pres = quotient_presentation(generic_setup(2, 2, 1))
+    pres = generic_setup(2, 2, 1).quotient
     res = free_resolution(pres)
     assert res.length == 1
     assert res.betti_ranks() == [1, 1]
@@ -43,7 +43,7 @@ def test_hypersurface_quotient():
 
 
 def test_codim_two_quotient():
-    pres = quotient_presentation(generic_setup(2, 3, 1))
+    pres = generic_setup(2, 3, 1).quotient
     res = free_resolution(pres)
     assert res.length == 2
     assert res.betti_ranks() == [1, 3, 2]
@@ -51,7 +51,7 @@ def test_codim_two_quotient():
 
 
 def test_maximal_minor_gorenstein_betti():
-    pres = quotient_presentation(generic_setup(3, 3, 1))
+    pres = generic_setup(3, 3, 1).quotient
     res = free_resolution(pres)
     assert res.betti_ranks() == [1, 9, 16, 9, 1]
 
@@ -59,7 +59,7 @@ def test_maximal_minor_gorenstein_betti():
 def test_euler_series_matches_hilbert():
     for m, n, l in [(2, 2, 1), (2, 3, 1), (3, 3, 2)]:
         setup = generic_setup(m, n, l)
-        pres = quotient_presentation(setup)
+        pres = setup.quotient
         res = free_resolution(pres)
         assert res.euler_series() == hilbert_series(pres)
 
