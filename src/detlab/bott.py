@@ -13,8 +13,10 @@ Grass(qsum.rank, m) one pure term at a time, and every vanishing checker
 builds the Q-side sum of each case and calls it.  The box wedge powers of Q and
 their duals are expanded once per checker call, so each Hom pair is one
 SchurSum.tensor, tensored with Sym_t(aux x Q) degree by degree where the
-check is degreewise.  Bott's sort-and-sign and the Brauer-Klimyk tensor
-product share `partitions.straighten`.
+check is degreewise.  The weight tables those tensors read are enumerated once
+per (shape, rank) per process and kept immutable (see `schurcalc`), and each
+Weyl dimension is evaluated once per weight per process.  Bott's sort-and-sign
+and the Brauer-Klimyk tensor product share `partitions.straighten`.
 
 Everything here is characteristic zero and every report says so.
 """

@@ -1,6 +1,6 @@
 """Exact commutative algebra: Groebner bases, resolutions, Hilbert series, Hom."""
 
-from .groebner import GroebnerEngine, groebner, kernel_vectors, minimal_generators
+from .groebner import GroebnerEngine, kernel_vectors, minimal_generators
 from .hilbert import free_module_series, hilbert_series
 from .homs import (
     HomModule,

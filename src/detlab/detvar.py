@@ -25,7 +25,6 @@ from .commalg import (
     block_copies,
     contains,
     free_resolution,
-    groebner,
     hilbert_series,
     hom_module,
     image_presentation,
@@ -33,6 +32,7 @@ from .commalg import (
     poly_det,
     random_rank,
 )
+from .commalg.groebner import groebner
 from .partitions import Partition, conjugate, enumerate_box
 
 DEFAULT_SEED = 20240611

@@ -9,6 +9,7 @@ dotted Weyl-group sort-and-sign step of the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -111,8 +112,14 @@ def weyl_dim(w) -> int:
 
     Product formula prod_{i<j} (w_i - w_j + j - i)/(j - i), evaluated with the
     division done last so every intermediate stays an exact integer.
-    Invariant under adding a constant to all entries.
+    Invariant under adding a constant to all entries.  Each weight is
+    evaluated once per process.
     """
+    return _weyl_dim(tuple(w))
+
+
+@functools.cache
+def _weyl_dim(w: tuple[int, ...]) -> int:
     entries = tuple(int(x) for x in w)
     m = len(entries)
     if any(entries[i] < entries[i + 1] for i in range(m - 1)):

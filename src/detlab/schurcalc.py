@@ -9,13 +9,19 @@ reverse reading word is a lattice word, and serve as the independent
 reference for those tensor products.  The tableau character oracle
 (semistandard Young tableaux) cross-checks LR; LR and the character oracle
 never share code paths.
+
+The weight table of each (shape, rank) is enumerated from tableaux once per
+process and kept as an immutable tuple (`_character_table`); both the
+Brauer-Klimyk tensor and `schur_character` read it.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .partitions import Partition, conjugate, straighten, weyl_dim
+from .partitions import Partition, canonical_parts, conjugate, straighten, weyl_dim
 
 
 @dataclass
@@ -59,7 +65,7 @@ class SchurSum:
         out: dict[tuple[int, ...], int] = {}
         for w, mult in self.terms.items():
             c = w[-1]
-            for expo, k in schur_character(tuple(v - c for v in w), self.rank).coeffs.items():
+            for expo, k in _character_table(canonical_parts([v - c for v in w]), self.rank):
                 mu = tuple(e + c for e in expo)
                 out[mu] = out.get(mu, 0) + mult * k
         return out
@@ -133,9 +139,6 @@ class SymCharacter:
 
     def scaled(self, k: int) -> "SymCharacter":
         return SymCharacter(self.nvars, {e: k * c for e, c in self.coeffs.items()} if k else {})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymCharacter) and self.nvars == other.nvars and self.coeffs == other.coeffs
@@ -321,21 +324,21 @@ def semistandard_tableaux(shape, nvals: int):
     yield from rec(0, 0)
 
 
+@functools.cache
+def _character_table(parts: tuple[int, ...], nvars: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (exponent vector, tableau count) pairs of s_parts(x_1..x_nvars);
+    `parts` is canonical, so (2, 1, 0) and (2, 1) share one entry."""
+    counts = Counter(
+        tuple(sum(row.count(v) for row in tab) for v in range(1, nvars + 1))
+        for tab in semistandard_tableaux(parts, nvars)
+    )
+    return tuple(counts.items())
+
+
 def schur_character(g, nvars: int) -> SymCharacter:
     """Schur polynomial s_g(x_1..x_nvars) by tableau enumeration; zero when g
-    has more than nvars rows."""
+    has more than nvars rows.  The result is a fresh copy of the cached weight
+    table, so mutating it changes no later answer."""
     if nvars < 1:
         raise ValueError("need at least one variable")
-    g = Partition.of(g)
-    out = SymCharacter(nvars)
-    for tab in semistandard_tableaux(g, nvars):
-        expo = [0] * nvars
-        for row in tab:
-            for v in row:
-                expo[v - 1] += 1
-        out.add(tuple(expo), 1)
-    return out
-
-
-def count_ssyt(shape, nvals: int) -> int:
-    return sum(1 for _ in semistandard_tableaux(shape, nvals))
+    return SymCharacter(nvars, dict(_character_table(Partition.of(g).parts, nvars)))

@@ -13,10 +13,10 @@ from detlab.commalg import (
     ModulePresentation,
     PolyRing,
     Vector,
-    groebner,
     hilbert_series,
     poly_det,
 )
+from detlab.commalg.groebner import groebner
 from detlab.detvar import (
     ImageModule,
     box_complement,

@@ -13,17 +13,22 @@ from detlab.commalg import (
     PolyRing,
     Polynomial,
     Vector,
-    groebner,
     hilbert_series,
     kernel_vectors,
     minimal_generators,
 )
-from detlab.commalg.groebner import DEG_MAX, POS_MAX, TermCodec, grevlex_key
+from detlab.commalg.groebner import DEG_MAX, POS_MAX, TermCodec, grevlex_key, groebner
 from detlab.commalg.hilbert import _minimalize, _mono_numerator
 from detlab.detvar import endomorphism_ring, generic_setup, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
 X, Y = R2.variable(0), R2.variable(1)
+
+
+def test_groebner_submodule_is_importable_by_name():
+    import detlab.commalg.groebner as g
+
+    assert g.GroebnerEngine is GroebnerEngine and callable(g.groebner)
 
 
 def ideal_vec(ring, p):

@@ -1,5 +1,6 @@
 """Names earn their place: a `commalg` re-export has a user outside the
-package, and a library module imports only names it uses."""
+package, a library module imports only names it uses, and no package
+`__init__` hides one of its submodules behind another object."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,36 @@ def test_library_modules_use_what_they_import():
             if name not in read
         ]
     assert unused == []
+
+
+def names_bound_at_top(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level, except `from . import x`, which
+    binds the submodule x itself."""
+    out: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(bound_names(node))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                out.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return out
+
+
+def test_package_inits_do_not_shadow_submodules():
+    """`import detlab.commalg.groebner as g` must give the module: a package
+    attribute of the same name would be returned instead."""
+    shadowed = []
+    for init in sorted(SRC.rglob("__init__.py")):
+        package = init.parent
+        submodules = {p.stem for p in package.glob("*.py") if p.name != "__init__.py"}
+        submodules |= {d.name for d in package.iterdir() if (d / "__init__.py").is_file()}
+        shadowed += [
+            f"{init.relative_to(SRC.parent)}: {name}"
+            for name in sorted(names_bound_at_top(parse(init)) & submodules)
+        ]
+    assert shadowed == []

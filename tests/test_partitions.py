@@ -11,7 +11,7 @@ from detlab.partitions import (
     straighten,
     weyl_dim,
 )
-from detlab.schurcalc import count_ssyt
+from detlab.schurcalc import semistandard_tableaux
 
 
 def test_canonical_form_strips_trailing_zeros():
@@ -79,7 +79,16 @@ def test_weyl_dim_shift_invariant(w, c):
 def test_weyl_dim_counts_tableaux():
     for m in range(1, 5):
         for p in all_partitions(6, max_rows=m):
-            assert weyl_dim(p.padded(m)) == count_ssyt(p, m)
+            assert weyl_dim(p.padded(m)) == sum(1 for _ in semistandard_tableaux(p, m))
+
+
+def test_weyl_dim_cache_keeps_validation():
+    assert weyl_dim((1, 0)) == 2
+    with pytest.raises(ValueError):
+        weyl_dim((0, 1))
+    with pytest.raises(ValueError):
+        weyl_dim((0, 1))
+    assert weyl_dim([2, 0]) == 3
 
 
 def test_lex_minimum_is_empty():

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from detlab import cli, partitions, schurcalc
 from detlab.partitions import Partition, all_partitions, conjugate, weyl_dim
 from detlab.schurcalc import (
     SchurSum,
@@ -10,6 +11,7 @@ from detlab.schurcalc import (
     exterior_expand,
     lr_coefficients,
     schur_character,
+    semistandard_tableaux,
     tensor_weights,
 )
 
@@ -141,7 +143,41 @@ def test_cauchy_dimension_identity():
 def test_schur_character_examples():
     assert schur_character((1,), 2).coeffs == {(1, 0): 1, (0, 1): 1}
     assert schur_character((2, 1), 2).coeffs == {(2, 1): 1, (1, 2): 1}
-    assert schur_character((1, 1, 1), 2).is_zero()
+    assert schur_character((1, 1, 1), 2).coeffs == {}
+
+
+def test_schur_character_hands_out_a_fresh_copy():
+    expected = {}
+    for tab in semistandard_tableaux((2, 1), 3):
+        expo = tuple(sum(row.count(v) for row in tab) for v in (1, 2, 3))
+        expected[expo] = expected.get(expo, 0) + 1
+    poisoned = schur_character((2, 1, 0), 3)
+    poisoned.add((2, 1, 0), 5)
+    poisoned.add((7, 0, 0), 1)
+    assert schur_character((2, 1), 3).coeffs == expected
+
+
+def test_character_table_is_immutable_and_shared_by_trailing_zeros():
+    table = schurcalc._character_table((2, 1), 3)
+    assert isinstance(table, tuple)
+    assert all(isinstance(pair, tuple) and isinstance(pair[0], tuple) for pair in table)
+    schur_character((2, 1, 0), 3)
+    assert schurcalc._character_table((2, 1), 3) is table
+
+
+def test_cold_and_warm_reports_are_byte_identical(capsys):
+    commands = [
+        ["check-tilt-grass", "--l", "2", "--m", "5", "--json"],
+        ["check-tilt-springer", "--l", "2", "--m", "3", "--n", "4", "--tmax", "3", "--json"],
+    ]
+    for argv in commands:
+        schurcalc._character_table.cache_clear()
+        partitions._weyl_dim.cache_clear()
+        assert cli.main(argv) == 0
+        cold = capsys.readouterr().out
+        assert schurcalc._character_table.cache_info().currsize > 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == cold
 
 
 def test_character_symmetry():
