@@ -332,7 +332,9 @@ def test_check_end_dual_small():
 FROZEN_REPORTS = Path(__file__).resolve().parent / "data" / "frozen_reports.json"
 
 
-@pytest.mark.parametrize("m,n,l,char", [(2, 3, 1, 0), (3, 3, 2, 0), (3, 3, 1, 32003)])
+@pytest.mark.parametrize(
+    "m,n,l,char", [(2, 3, 1, 0), (3, 3, 2, 0), (3, 3, 1, 32003), (3, 4, 2, 32003)]
+)
 def test_end_dual_and_flip_reports_are_frozen(m, n, l, char):
     frozen = json.loads(FROZEN_REPORTS.read_text())
     s = generic_setup(m, n, l, char=char)
