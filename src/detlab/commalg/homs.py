@@ -111,8 +111,10 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> HomModule:
     return HomModule(pres.generators, pres.relations, ambient, gens)
 
 
-def membership_engine(ring: PolyRing, vectors, degrees) -> GroebnerEngine:
+def membership_engine(ring: PolyRing, vectors, degrees, gb=()) -> GroebnerEngine:
+    """Completed engine on `vectors` over `gb`, a known Groebner basis (seeded)."""
     eng = GroebnerEngine(ring, degrees)
+    eng.seed(gb)
     for v in vectors:
         eng.add_generator(v)
     eng.complete()
@@ -120,11 +122,12 @@ def membership_engine(ring: PolyRing, vectors, degrees) -> GroebnerEngine:
 
 
 def contains(
-    ring: PolyRing, gens: Iterable[Vector], degrees, vectors: Iterable[Vector]
+    ring: PolyRing, gens: Iterable[Vector], degrees, vectors: Iterable[Vector], gb=()
 ) -> bool:
-    """Does the submodule generated by `gens` contain every one of `vectors`?
+    """Does the submodule generated by `gb` and `gens` contain every one of
+    `vectors`?  `gb` must be a Groebner basis (see `membership_engine`).
     Stops at the first vector outside it."""
-    eng = membership_engine(ring, gens, degrees)
+    eng = membership_engine(ring, gens, degrees, gb)
     return all(eng.normal_form(v).is_zero() for v in vectors)
 
 

@@ -176,6 +176,7 @@ def end_dual_cases(grid=FLIP_GRID, char: int = 0) -> list[dict]:
                 involution=rep.involution_ok,
                 uniform_shift=rep.uniform_shift,
                 totals_equal=rep.total_series_equal,
+                reflexive=rep.to_json()["reflexive"],
             )
         )
     return out

@@ -14,6 +14,7 @@ from detlab.commalg import (
     PolyRing,
     Vector,
     hilbert_series,
+    hom_module,
     poly_det,
 )
 from detlab.commalg.groebner import groebner
@@ -31,6 +32,7 @@ from detlab.detvar import (
     phi_dual,
     prod_binomial,
     rank_check,
+    series_shift,
     tilting_summands,
     wedge_alpha_map,
     wedge_module,
@@ -359,3 +361,90 @@ def test_check_end_dual_complement_outside_box_fails(monkeypatch):
     assert not rep.passed
     assert rep.pair_shifts[((1,), ())] is None
     assert rep.to_json()["pass"] is False
+
+
+def hom_of_duals_series(end) -> dict:
+    """Reference for `check_end_dual`'s pair loop: the series of every
+    Hom(T_a^*, T_b^*), each Hom module computed from scratch."""
+    box = [t.shape for t in end.summands]
+    duals = [end.blocks[(i, box.index(Partition()))] for i in range(len(box))]
+    return {
+        (i, j): hilbert_series(hom_module(duals[i], duals[j]))
+        for i in range(len(box))
+        for j in range(len(box))
+    }
+
+
+@pytest.mark.parametrize(
+    "m,n,l,char", [(2, 3, 1, 0), (3, 3, 2, 0), (3, 3, 1, 32003), (3, 4, 2, 32003)]
+)
+def test_end_dual_blocks_match_hom_of_duals(m, n, l, char):
+    s = generic_setup(m, n, l, char=char)
+    end = endomorphism_ring(s)
+    box = [t.shape for t in end.summands]
+    series = {key: hilbert_series(block) for key, block in end.blocks.items()}
+    rep = check_end_dual(s)
+    comp = [box.index(box_complement(a, l, m - l)) for a in box]
+    for (i, j), want in hom_of_duals_series(end).items():
+        a, b = box[i].parts, box[j].parts
+        assert series[(j, i)] == want, (a, b)
+        assert rep.pair_shifts[(a, b)] == series_shift(want, series[(comp[i], comp[j])])
+    assert rep.reflexive == {a.parts: True for a in box}
+    assert rep.passed
+
+
+def _drop_relation(real, shape, r):
+    """A `wedge_module` whose presentation of `shape` lacks relation r."""
+
+    def wedge(setup, sh):
+        mod = real(setup, sh)
+        if mod.shape != shape:
+            return mod
+        rels = list(mod.presentation.relation_vectors)
+        del rels[r]
+        pres = ModulePresentation.from_relations(mod.presentation.generators, rels)
+        return ImageModule(mod.shape, setup, mod.fmap, pres)
+
+    return wedge
+
+
+# every relation on (2,3,1); the first and last of each summand on (3,3,1)
+# (all 51 single drops on these two setups fail the certificate)
+DROPS = [((2, 3, 1), a, r) for a in ((), (1,)) for r in range(3)] + [
+    ((3, 3, 1), a, r) for a, last in (((), 8), ((1,), 8), ((2,), 26)) for r in (0, last)
+]
+
+
+@pytest.mark.parametrize(
+    "mnl,shape,r",
+    DROPS,
+    ids=[f"{''.join(map(str, d))}-alpha{''.join(map(str, a)) or 0}-rel{r}" for d, a, r in DROPS],
+)
+def test_end_dual_dropped_relation_fails_biduality(monkeypatch, mnl, shape, r):
+    import detlab.detvar as dv
+
+    s = generic_setup(*mnl)
+    real = dv.wedge_module
+    assert len(real(s, shape).presentation.relation_vectors) > r
+    monkeypatch.setattr(dv, "wedge_module", _drop_relation(real, Partition(shape), r))
+    rep = check_end_dual(s)
+    assert rep.reflexive[shape] is False
+    assert not rep.passed
+    assert {"alpha": list(shape), "pass": False} in rep.to_json()["reflexive"]
+
+
+@pytest.mark.parametrize("m,n,l", [(2, 3, 1), (3, 3, 2)])
+def test_end_dual_builds_k_squared_plus_k_hom_modules(monkeypatch, m, n, l):
+    import detlab.detvar as dv
+
+    calls = []
+
+    def counting(M, N):
+        calls.append(1)
+        return hom_module(M, N)
+
+    monkeypatch.setattr(dv, "hom_module", counting)
+    s = generic_setup(m, n, l)
+    k = len(s.box())
+    assert check_end_dual(s).passed
+    assert len(calls) == k * k + k

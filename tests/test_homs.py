@@ -2,14 +2,18 @@ import pytest
 
 from detlab.commalg import (
     FreeModule,
+    GroebnerEngine,
     ModuleMap,
     ModulePresentation,
     PolyRing,
     Vector,
+    block_copies,
+    contains,
     hilbert_series,
     hom_module,
     random_rank,
 )
+from detlab.commalg.homs import membership_engine
 from detlab.detvar import generic_setup, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
@@ -56,6 +60,28 @@ def test_dual_reflexive_series():
     d = hom_module(t1.presentation, rq)
     dd = hom_module(d, rq)
     assert hilbert_series(dd) == hilbert_series(t1.presentation)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_contains_seeds_a_known_basis(monkeypatch, char):
+    """A Groebner basis passed as `gb` gives the membership answers it gives
+    among the generators, and building the engine on it reduces nothing."""
+    setup = generic_setup(3, 3, 1, char=char)
+    dual = hom_module(wedge_module(setup, (1,)).presentation, setup.quotient)
+    degs = dual.ambient.degrees
+    ideal = block_copies(setup.quotient.relation_vectors, 1, dual.ambient.rank)
+    probes = dual.hom_generators + [dual.ambient.basis_vector(i) for i in range(dual.ambient.rank)]
+    for gens in ([], dual.hom_generators):
+        for v in probes:
+            want = contains(setup.ring, gens + ideal, degs, [v])
+            assert contains(setup.ring, gens, degs, [v], gb=ideal) == want
+    calls = []
+    real = GroebnerEngine.reduce_terms
+    monkeypatch.setattr(
+        GroebnerEngine, "reduce_terms", lambda self, terms: calls.append(1) or real(self, terms)
+    )
+    eng = membership_engine(setup.ring, (), degs, gb=ideal)
+    assert calls == [] and len(eng.basis) == len(ideal)
 
 
 @pytest.mark.parametrize("mnl,char", [((2, 3, 1), 0), ((3, 3, 1), 32003)])
