@@ -46,7 +46,7 @@ from itertools import groupby, islice
 from typing import Iterable, Sequence
 
 from .modules import ModuleMap, Vector
-from .rings import PolyRing
+from .rings import PolyRing, integral
 
 Term = tuple[int, tuple[int, ...]]
 
@@ -179,7 +179,7 @@ class GroebnerEngine:
         pack = self.codec.pack
         if self.ring.char:
             return {pack(t): c for t, c in terms.items()}
-        return {pack(t): _integral(c) if type(c) is Fraction else c for t, c in terms.items()}
+        return {pack(t): integral(c) for t, c in terms.items()}
 
     def _vector(self, terms: dict) -> Vector:
         unpack = self.codec.unpack
@@ -208,7 +208,7 @@ class GroebnerEngine:
                 terms = {t: v // c for t, v in terms.items()}
             else:
                 inv = ring.coeff_inv(c)
-                terms = {t: _integral(v * inv) for t, v in terms.items()}
+                terms = {t: integral(v * inv) for t, v in terms.items()}
         if next(iter(terms)) != lead:
             terms = {lead: terms[lead], **terms}
         return terms
@@ -433,11 +433,6 @@ def _by_slot(elts: list[_Elt]) -> dict[int, list[_Elt]]:
     for g in elts:
         out.setdefault(g.slot, []).append(g)
     return out
-
-
-def _integral(c):
-    """A characteristic-zero coefficient as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------

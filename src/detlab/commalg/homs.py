@@ -15,11 +15,12 @@ image of a map into a quotient, and `contains` decides submodule membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 from .groebner import GroebnerEngine, groebner, kernel_vectors, minimal_generators
 from .modules import FreeModule, ModuleMap, ModulePresentation, Vector
-from .rings import PolyRing
+from .rings import PolyRing, integral
 
 
 @dataclass
@@ -132,14 +133,19 @@ def contains(
 
 
 def random_rank(fmap: ModuleMap, point) -> int:
-    """Rank of the map specialized at a point, by exact Gaussian elimination."""
+    """Rank of the map specialized at a point, by exact Gaussian elimination.
+
+    The matrix is built in one pass over each column's terms.  In
+    characteristic zero the values are summed as ints while integral and
+    every cell becomes a field coefficient (`Fraction`, or an int mod p)
+    once, before the elimination."""
     ring = fmap.source.ring
-    rows = fmap.target.rank
-    cols = fmap.source.rank
-    mat = [
-        [fmap.entry(r, c).evaluate(point) for c in range(cols)] for r in range(rows)
-    ]
-    return matrix_rank(ring, mat)
+    point = [integral(x) for x in point]
+    mat = [[0] * fmap.source.rank for _ in range(fmap.target.rank)]
+    for c, col in enumerate(fmap.columns):
+        for (r, m), v in col.terms.items():
+            mat[r][c] += integral(v) * prod(x**e for x, e in zip(point, m) if e)
+    return matrix_rank(ring, [[ring.coeff(x) for x in row] for row in mat])
 
 
 def matrix_rank(ring: PolyRing, mat) -> int:

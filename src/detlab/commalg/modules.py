@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .rings import Polynomial, PolyRing
+from .rings import Polynomial, PolyRing, integral
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,6 @@ class Vector:
 
     def __sub__(self, other: "Vector") -> "Vector":
         return self + (-other)
-
-    def scaled(self, c) -> "Vector":
-        ring = self.ring
-        c = ring.coeff(c)
-        if not c:
-            return Vector(ring, {})
-        return Vector(ring, {t: ring.coeff_mul(v, c) for t, v in self.terms.items()})
 
     def poly_scaled(self, p: Polynomial) -> "Vector":
         ring = self.ring
@@ -147,11 +141,20 @@ class ModuleMap:
         ]
 
     def apply(self, v: Vector) -> Vector:
-        out = Vector(self.source.ring, {})
-        for (pos, m), c in v.terms.items():
-            ring = self.source.ring
-            out = out + self.columns[pos].poly_scaled(Polynomial(ring, {m: c}))
-        return out
+        """Image of `v`, summed in one dict.  In characteristic zero the
+        products are taken as ints while integral; every sum becomes a field
+        coefficient (`Fraction`, or an int mod p) only when the result
+        `Vector` is built, where zero terms are dropped."""
+        ring = self.source.ring
+        acc: dict = {}
+        get = acc.get
+        for (pos, m2), c2 in v.terms.items():
+            c2 = integral(c2)
+            for (p, m1), c1 in self.columns[pos].terms.items():
+                t = (p, tuple(map(add, m1, m2)))
+                acc[t] = get(t, 0) + integral(c1) * c2
+        coeff = ring.coeff
+        return Vector(ring, {t: c for t, s in acc.items() if (c := coeff(s))})
 
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
         """self o inner (inner applied first)."""

@@ -11,6 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def integral(c):
+    """A characteristic-zero coefficient as an int when it is integral: an int
+    or an integral `Fraction` becomes an int, any other `Fraction` is returned
+    unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -141,18 +148,6 @@ class Polynomial:
         if not c:
             return ring.zero()
         return Polynomial(ring, {m: ring.coeff_mul(v, c) for m, v in self.terms.items()})
-
-    def evaluate(self, point):
-        """Exact evaluation at a point (list of field elements)."""
-        ring = self.ring
-        total = ring.coeff(0)
-        for m, c in self.terms.items():
-            val = c
-            for i, e in enumerate(m):
-                for _ in range(e):
-                    val = ring.coeff_mul(val, point[i])
-            total = ring.coeff_add(total, val)
-        return total
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms

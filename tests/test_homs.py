@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from detlab.commalg import (
@@ -11,6 +14,7 @@ from detlab.commalg import (
     contains,
     hilbert_series,
     hom_module,
+    matrix_rank,
     random_rank,
 )
 from detlab.commalg.homs import membership_engine
@@ -117,6 +121,54 @@ def test_random_rank_cases():
         F3, F3, [[R2.one() if i == j else R2.zero() for j in range(3)] for i in range(3)]
     )
     assert random_rank(ident, [R2.coeff(1), R2.coeff(1)]) == 3
+    # det [[x^2, y^3], [x y, y^2]] = x y^2 (x - y^2) vanishes at (4, 2) only
+    # when every power is taken
+    F2 = FreeModule(R2, (0, 0))
+    powers = ModuleMap.from_entries(F2, F2, [[X * X, Y * Y * Y], [X * Y, Y * Y]])
+    assert random_rank(powers, [R2.coeff(4), R2.coeff(2)]) == 1
+    assert random_rank(powers, [R2.coeff(3), R2.coeff(2)]) == 2
+
+
+def naive_value(poly, point):
+    ring = poly.ring
+    total = ring.coeff(0)
+    for m, c in poly.terms.items():
+        val = c
+        for x, e in zip(point, m):
+            for _ in range(e):
+                val = ring.coeff_mul(val, x)
+        total = ring.coeff_add(total, val)
+    return total
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("mnl", [(2, 4, 1), (3, 3, 2)])
+def test_random_rank_matches_entrywise_evaluation(mnl, char):
+    """The one-pass specialization agrees with evaluating every entry on its
+    own, at uniform points, rank-l points u v^T and (char 0) a rank-l point
+    with a non-integral coordinate."""
+    m, n, l = mnl
+    setup = generic_setup(m, n, l, char=char)
+    ring = setup.ring
+    rng = random.Random(m * n * l + char)
+    hi = char - 1 if char else 9
+    points = [[ring.coeff(rng.randint(0, hi)) for _ in range(m * n)]]
+    for trial in range(2):
+        u = [[rng.randint(1, hi) for _ in range(l)] for _ in range(m)]
+        v = [[rng.randint(1, hi) for _ in range(l)] for _ in range(n)]
+        if trial and not char:
+            u[0][0] = Fraction(1, 2)
+        points.append([
+            ring.coeff(sum(u[i][k] * v[j][k] for k in range(l)))
+            for i in range(m) for j in range(n)
+        ])
+    if not char:
+        assert any(x.denominator != 1 for x in points[-1])
+    for shape in setup.box():
+        fmap = wedge_module(setup, shape).fmap
+        for point in points:
+            naive = [[naive_value(e, point) for e in row] for row in fmap.entries()]
+            assert random_rank(fmap, point) == matrix_rank(ring, naive), (shape, point)
 
 
 def test_random_rank_generic_matrix_at_rank_one_point():

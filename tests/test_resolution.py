@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 from detlab.commalg import (
     FreeModule,
+    ModuleMap,
     ModulePresentation,
     PolyRing,
     Vector,
@@ -15,6 +17,7 @@ from detlab.commalg import (
     hilbert_series,
     poly_det,
 )
+from detlab.commalg.resolution import Resolution
 from detlab.detvar import generic_setup, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
@@ -82,6 +85,25 @@ def test_resolution_differentials_compose_to_zero():
             res = free_resolution(wedge_module(setup, alpha).presentation)
             assert res.verify_complex()
             assert not res.has_constant_entry()
+
+
+def test_perturbed_differential_fails_verify_complex():
+    """Adding c * x^mono to one entry of one differential changes one
+    composite by c * x^mono times a nonzero column, so the check must fail
+    for a non-integral c (which the int-first sums must not lose) as well
+    as for an integral one."""
+    res = free_resolution(wedge_module(generic_setup(2, 3, 1), (1,)).presentation)
+    assert res.verify_complex() and res.length >= 2
+    ring = res.f0.ring
+    for k, d in enumerate(res.maps):
+        for delta in (Fraction(1, 2), Fraction(1)):
+            col = d.columns[0]
+            t = min(col.terms)
+            terms = {**col.terms, t: ring.coeff_add(col.terms[t], delta)}
+            bumped = Vector(ring, {u: c for u, c in terms.items() if c})
+            maps = list(res.maps)
+            maps[k] = ModuleMap(d.source, d.target, [bumped, *d.columns[1:]])
+            assert not Resolution(res.f0, maps).verify_complex(), (k, delta)
 
 
 def test_hilbert_free_module():
