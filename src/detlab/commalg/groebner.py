@@ -4,8 +4,8 @@ Monomial order: graded reverse lexicographic on ring monomials, extended
 term-over-position to module terms.  The one other order is the block
 elimination order of `kernel_vectors`: an engine built with `split=t` makes
 every term at a position below `t` (the target block) larger than every term
-at or above it (the source block), so basis elements supported in the source
-block cut out the kernel.
+at or above it (the source block), so basis elements led in the source block
+lie in it and span the kernel; they form no S-pairs among themselves.
 
 Packed terms.  Inside the engine a module term `(pos, mono)` is one Python
 int whose natural order is the term order.  From the most significant end it
@@ -275,8 +275,11 @@ class GroebnerEngine:
 
     # -- pair bookkeeping ---------------------------------------------------------
     def _update_pairs(self, t: _Elt) -> None:
-        """Gebauer-Moller update after appending basis element t."""
+        """Gebauer-Moller update after appending basis element t; a source-led
+        element of an elimination engine forms no pairs (`kernel_vectors`)."""
         codec = self.codec
+        if codec.split and t.lead_pos >= codec.split:
+            return
         guards, div_bits = codec.guards, codec.div_bits
         peers = [g for g in self._by_pos[t.slot] if g is not t]
         lcms = {g.idx: codec.lcm(g.lead, t.lead) for g in peers}
@@ -379,38 +382,24 @@ class GroebnerEngine:
             if r:
                 self._update_pairs(self._install(r))
 
-    def _minimal_leads(self, elts: Iterable[_Elt]) -> list[_Elt]:
-        """Elements whose lead no other element's lead divides (first of equals)."""
-        divides = self.codec.divides
-        elts = list(elts)
-        by_pos = _by_slot(elts)
-        return [
-            g
-            for g in elts
-            if not any(
-                h is not g
-                and divides(h.lead, g.lead)
-                and (h.lead != g.lead or h.idx < g.idx)
-                for h in by_pos[g.slot]
-            )
-        ]
-
-    def _interreduced(self, keep: list[_Elt]) -> list[dict]:
-        """Each kept element's terms fully reduced by the other kept ones."""
-        by_pos = _by_slot(keep)
-        out = []
-        for g in keep:
-            view = _ReducerView(self, by_pos, g)
-            r = view.reduce_terms(g.terms)
-            if r:
-                out.append(self._monic(r))
-        return out
-
     def reduced_basis(self) -> list[Vector]:
         """Reduced Groebner basis: minimal lead terms, fully tail-reduced,
         sorted by lead term."""
         self.complete()
-        reduced = self._interreduced(self._minimal_leads(self.basis))
+        divides = self.codec.divides
+        # per position, the first of equals among the leads no other divides,
+        # each tail-reduced by the others (so its lead survives)
+        keep = {
+            slot: [
+                g for g in elts
+                if not any(h.idx < g.idx if h.lead == g.lead else divides(h.lead, g.lead) for h in elts)
+            ]
+            for slot, elts in self._by_pos.items()
+        }
+        reduced = [
+            self._monic(_ReducerView(self, keep, g).reduce_terms(g.terms))
+            for elts in keep.values() for g in elts
+        ]
         reduced.sort(key=lambda terms: next(iter(terms)))
         return [self._vector(r) for r in reduced]
 
@@ -426,13 +415,6 @@ class _ReducerView:
         self._by_pos[skip.slot] = [g for g in by_pos[skip.slot] if g is not skip]
 
     reduce_terms = GroebnerEngine.reduce_terms
-
-
-def _by_slot(elts: list[_Elt]) -> dict[int, list[_Elt]]:
-    out: dict[int, list[_Elt]] = {}
-    for g in elts:
-        out.setdefault(g.slot, []).append(g)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +436,18 @@ def groebner(
 def kernel_vectors(
     fmap: ModuleMap, target_quotient_gb: Sequence[Vector] = ()
 ) -> list[Vector]:
-    """Generators (a Groebner basis) of the kernel of source -> target/Q.
+    """Generators, not a Groebner basis, of the kernel of source -> target/Q.
 
     `target_quotient_gb` must be a Groebner basis, in the engine's default
     grevlex term-over-position order, of the submodule Q of the target that
     is being quotiented out (empty for a plain kernel of a map of free
     modules).
+
+    No S-pair between source-led elements is formed: it would combine two
+    elements supported in the source alone.  So the target-led elements and
+    a Groebner basis of the source-led ones' span are a Groebner basis of the
+    graph module, and by elimination the source-led elements, returned in
+    basis order and not interreduced, span the kernel.
     """
     ring = fmap.source.ring
     t = fmap.target.rank
@@ -473,11 +461,7 @@ def kernel_vectors(
         terms[(t + j, ring.zero_mono)] = one
         eng.add_generator(Vector(ring, terms))
     eng.complete()
-    # elements led in the source block live entirely in it (elimination order)
-    keep = eng._minimal_leads(g for g in eng.basis if g.lead_pos >= t)
-    out = [eng._vector(r).restricted(t, t + s, -t) for r in eng._interreduced(keep)]
-    out.sort(key=lambda v: [(p, grevlex_key(m)) for p, m in sorted(v.terms)])
-    return out
+    return [eng._vector(g.terms).restricted(t, t + s, -t) for g in eng.basis if g.lead_pos >= t]
 
 
 def minimal_generators(

@@ -62,12 +62,15 @@ def image_presentation(
     return ModulePresentation.from_relations(fmap.source, rel)
 
 
-def hom_module(M: ModulePresentation, N: ModulePresentation) -> HomModule:
+def hom_module(
+    M: ModulePresentation, N: ModulePresentation, gb: Sequence[Vector] | None = None
+) -> HomModule:
     """Presentation of Hom(M, N) over the common polynomial ring.
 
     When both arguments are modules over a quotient ring (their relations
     contain the quotient ideal times each generator), this is the Hom over
-    that quotient.
+    that quotient.  `gb`, if given, is the reduced Groebner basis of N's
+    relations (as `groebner` returns it), computed once by the caller.
     """
     if M.ring != N.ring:
         raise ValueError("modules must share a ring")
@@ -77,7 +80,7 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> HomModule:
     ambient = _ambient(M, N)
     rel_M = M.relation_vectors
     a1 = len(rel_M)
-    n_gb = groebner(ring, N.relation_vectors, degrees=N.gen_degrees)
+    n_gb = groebner(ring, N.relation_vectors, degrees=N.gen_degrees) if gb is None else gb
 
     if a1 == 0 or a0 == 0:
         gens = [ambient.basis_vector(i) for i in range(ambient.rank)]

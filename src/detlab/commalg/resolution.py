@@ -1,8 +1,9 @@
 """Free resolutions of graded modules, minimization, and Betti tables.
 
 The resolution is built by iterated kernels: trim the current relations to a
-minimal generating set, make them the next differential, and compute the
-kernel of that map by elimination.  Trimming every step keeps the complex
+minimal generating set, make them the next differential, and compute
+generators (not a Groebner basis) of its kernel by elimination.  Trimming
+every step keeps the complex
 minimal except possibly at the generator stage, where a non-minimal
 presentation can leave constant entries in the first differential; a
 unit-clearing pass removes those.

@@ -337,10 +337,13 @@ def endomorphism_ring(setup: DetSetup) -> EndomorphismRing:
     if setup.m > setup.n:
         raise ValueError("endomorphism certification requires m <= n; flip the setup")
     summands = tilting_summands(setup)
+    # one relation basis per Hom target, shared by its column of blocks
+    gbs = [groebner(setup.ring, b.presentation.relation_vectors, b.presentation.gen_degrees)
+           for b in summands]
     blocks = {}
     for i, a in enumerate(summands):
         for j, b in enumerate(summands):
-            blocks[(i, j)] = hom_module(a.presentation, b.presentation)
+            blocks[(i, j)] = hom_module(a.presentation, b.presentation, gb=gbs[j])
     return EndomorphismRing(setup, summands, blocks)
 
 
@@ -422,7 +425,7 @@ def check_flip(setup: DetSetup) -> FlipReport:
     for shape in setup.box():
         t1 = wedge_module(setup, shape)
         t2 = wedge_module(flipped, shape)
-        dual = hom_module(t1.presentation, setup.quotient)
+        dual = hom_module(t1.presentation, setup.quotient, gb=setup.quotient.relation_vectors)
         # pairing columns: the transposed-side wedge matrix columns, read in
         # the ambient of Hom(t1, R) (one coordinate per t1 generator)
         w2 = t2.fmap
@@ -544,7 +547,7 @@ def check_end_dual(setup: DetSetup) -> EndDualReport:
     series = {key: hilbert_series(block) for key, block in end.blocks.items()}
     duals = [end.blocks[(i, idx[Partition()])] for i in range(len(box))]
     reflexive = {
-        t.shape.parts: hilbert_series(hom_module(d, setup.quotient))
+        t.shape.parts: hilbert_series(hom_module(d, setup.quotient, gb=setup.quotient.relation_vectors))
         == hilbert_series(t.presentation)
         for t, d in zip(end.summands, duals)
     }

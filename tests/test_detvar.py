@@ -439,9 +439,9 @@ def test_end_dual_builds_k_squared_plus_k_hom_modules(monkeypatch, m, n, l):
 
     calls = []
 
-    def counting(M, N):
+    def counting(M, N, **kw):
         calls.append(1)
-        return hom_module(M, N)
+        return hom_module(M, N, **kw)
 
     monkeypatch.setattr(dv, "hom_module", counting)
     s = generic_setup(m, n, l)

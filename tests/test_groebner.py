@@ -13,13 +13,15 @@ from detlab.commalg import (
     PolyRing,
     Polynomial,
     Vector,
+    block_copies,
+    contains,
     hilbert_series,
     kernel_vectors,
     minimal_generators,
 )
 from detlab.commalg.groebner import DEG_MAX, POS_MAX, TermCodec, grevlex_key, groebner
 from detlab.commalg.hilbert import _minimalize, _mono_numerator
-from detlab.detvar import endomorphism_ring, generic_setup, wedge_module
+from detlab.detvar import endomorphism_ring, generic_setup, wedge_alpha_map, wedge_module
 
 R2 = PolyRing(2, 0, ("x", "y"))
 X, Y = R2.variable(0), R2.variable(1)
@@ -133,6 +135,90 @@ def test_kernel_through_quotient():
     ker = kernel_vectors(f, groebner(R2, q))
     assert len(ker) == 1
     assert ker[0].terms == {(0, (1, 0)): R2.coeff(1)}
+
+
+def _series(free, vectors):
+    return hilbert_series(
+        ModulePresentation.from_relations(free, [v for v in vectors if not v.is_zero()])
+    )
+
+
+def kernel_oracle(fmap, quotient_gb, out) -> bool:
+    """Do `out` generate the kernel of source -> target/Q?  Checked without
+    the elimination engine: every output maps into Q (`contains`), and the
+    span has the Hilbert series that the exact sequence
+    0 -> ker -> source -> target/Q -> target/(Q + im f) -> 0 forces; a
+    graded submodule of the kernel with the kernel's series is the kernel."""
+    tgt = fmap.target
+    if not contains(tgt.ring, (), tgt.degrees, (fmap.apply(v) for v in out), gb=quotient_gb):
+        return False
+    image = _series(tgt, quotient_gb) + _series(tgt, [*quotient_gb, *fmap.columns]).scaled(-1)
+    return _series(fmap.source, out) == image
+
+
+def drop_top_degree(fmap, out):
+    """Mutant kernel output: every vector of the top degree removed."""
+    degs = [v.degree(fmap.source.degrees) for v in out]
+    return [v for v, d in zip(out, degs) if d != max(degs, default=None)]
+
+
+WEDGE_KERNEL_CASES = [((2, 4, 1), 0), ((3, 3, 1), 0), ((3, 3, 2), 0), ((3, 4, 2), 32003)]
+
+
+def wedge_kernels(mnl, char):
+    setup = generic_setup(*mnl, char=char)
+    for alpha in setup.box():
+        fmap = wedge_alpha_map(setup, alpha)
+        q = block_copies(setup.quotient.relation_vectors, 1, fmap.target.rank)
+        yield fmap, q, kernel_vectors(fmap, q)
+
+
+def hom_kernels(monkeypatch):
+    """Every kernel `commalg.homs` takes while building the End ring of
+    (3,3,1) over F_32003: the relations of the 3 summands, then the
+    constraint kernel and the relations of each of the 9 blocks."""
+    from detlab.commalg import homs
+
+    calls = []
+
+    def recording(fmap, quotient_gb=()):
+        out = kernel_vectors(fmap, quotient_gb)
+        calls.append((fmap, quotient_gb, out))
+        return out
+
+    monkeypatch.setattr(homs, "kernel_vectors", recording)
+    endomorphism_ring(generic_setup(3, 3, 1, char=32003))
+    assert len(calls) == 3 + 18
+    return calls
+
+
+@pytest.mark.parametrize("mnl,char", WEDGE_KERNEL_CASES)
+def test_kernel_vectors_oracle_on_wedge_maps(mnl, char):
+    for fmap, q, out in wedge_kernels(mnl, char):
+        assert kernel_oracle(fmap, q, out)
+
+
+def test_kernel_vectors_oracle_on_hom_kernels(monkeypatch):
+    for fmap, q, out in hom_kernels(monkeypatch):
+        assert kernel_oracle(fmap, q, out)
+
+
+@pytest.mark.parametrize("mnl,char", WEDGE_KERNEL_CASES)
+def test_kernel_oracle_rejects_dropped_top_degree_on_wedge_maps(mnl, char):
+    assert not all(
+        kernel_oracle(fmap, q, drop_top_degree(fmap, out))
+        for fmap, q, out in wedge_kernels(mnl, char)
+    )
+
+
+def test_kernel_oracle_rejects_dropped_top_degree_on_hom_kernels(monkeypatch):
+    # rejected where lower-degree outputs remain too, so not only because the
+    # mutant output is empty
+    assert any(
+        not kernel_oracle(f, q, drop_top_degree(f, out))
+        for f, q, out in hom_kernels(monkeypatch)
+        if len({v.degree(f.source.degrees) for v in out}) > 1
+    )
 
 
 def test_minimal_generators_drops_redundant():
