@@ -9,14 +9,16 @@ nonzero degree is the inversion count.
 A sum of bundles is written in one way, as a Q-side SchurSum (trivial on the
 R side); `bott_cohomology` takes a single pure term with an R-side weight.
 `cohomology_of(m, qsum)` takes the cohomology of qsum(Q) on
-Grass(qsum.rank, m) one pure term at a time, and every vanishing checker
-builds the Q-side sum of each case and calls it.  The box wedge powers of Q and
-their duals are expanded once per checker call, so each Hom pair is one
-SchurSum.tensor, tensored with Sym_t(aux x Q) degree by degree where the
-check is degreewise.  The weight tables those tensors read are enumerated once
-per (shape, rank) per process and kept immutable (see `schurcalc`), and each
-Weyl dimension is evaluated once per weight per process.  Bott's sort-and-sign
-and the Brauer-Klimyk tensor product share `partitions.straighten`.
+Grass(qsum.rank, m) one pure term at a time, through the same per-term
+straightening as `bott_cohomology`, and every vanishing checker builds the
+Q-side sum of each case and calls it.  Each Hom pair is one SchurSum.tensor
+of box wedge powers of Q and their duals, tensored with Sym_t(aux x Q) degree
+by degree where the check is degreewise.  Each checker call owns one product
+memo for its tensors, so an irreducible product is computed once per verdict
+and freed with it; the weight tables and wedge-power expansions the tensors
+start from are computed once per process and kept immutable (see
+`schurcalc`), and so is each Weyl dimension.  Bott's sort-and-sign and the
+Brauer-Klimyk tensor product share `partitions.straighten`.
 
 Everything here is characteristic zero and every report says so.
 """
@@ -53,11 +55,6 @@ class CohomologyTable:
         if not row:
             del self.entries[degree]
 
-    def merge(self, other: "CohomologyTable", scale: int = 1) -> None:
-        for deg, row in other.entries.items():
-            for w, mult in row.items():
-                self.add(deg, w, scale * mult)
-
     def dim(self, degree: int) -> int:
         return sum(mult * weyl_dim(w) for w, mult in self.entries.get(degree, {}).items())
 
@@ -75,30 +72,37 @@ class CohomologyTable:
         return all(deg <= 0 for deg in self.entries)
 
 
+def _add_pure_term(table: CohomologyTable, x: tuple, y: tuple, mult: int) -> None:
+    """Add mult times the cohomology of L_x(Q) x L_y(R) on Grass(len(x), table.m)."""
+    for w in (x, y):
+        if list(w) != sorted(w, reverse=True):
+            raise ValueError(f"weight {w} is not dominant")
+    rho = range(table.m - 1, -1, -1)
+    st = straighten([a + b for a, b in zip(x + y, rho)])
+    if st is not None:
+        inversions, v = st
+        table.add(inversions, tuple(a - b for a, b in zip(v, rho)), mult)
+
+
 def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> CohomologyTable:
     """Cohomology of the pure term L_x(Q) x L_y(R) on Grass(l, m)."""
     x = tuple(int(v) for v in x)
     y = tuple(int(v) for v in y)
     if len(x) != l or len(y) != m - l:
         raise ValueError(f"weights must have lengths {l} and {m - l}")
-    for w in (x, y):
-        if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
-            raise ValueError(f"weight {w} is not dominant")
-    rho = tuple(range(m - 1, -1, -1))
     table = CohomologyTable(m)
-    st = straighten([a + b for a, b in zip(x + y, rho)])
-    if st is not None:
-        inversions, v = st
-        table.add(inversions, tuple(a - b for a, b in zip(v, rho)), 1)
+    _add_pure_term(table, x, y, 1)
     return table
 
 
 def cohomology_of(m: int, qsum: SchurSum) -> CohomologyTable:
     """Cohomology of qsum(Q) on Grass(qsum.rank, m), term by pure term."""
+    if qsum.rank > m:
+        raise ValueError(f"rank {qsum.rank} exceeds m = {m}")
     table = CohomologyTable(m)
     unit = (0,) * (m - qsum.rank)
     for x, mult in qsum.items():
-        table.merge(bott_cohomology(qsum.rank, m, x, unit), scale=mult)
+        _add_pure_term(table, x, unit, mult)
     return table
 
 
@@ -106,7 +110,7 @@ def cohomology_of(m: int, qsum: SchurSum) -> CohomologyTable:
 # Vanishing checkers
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckCase:
     inputs: dict
     degrees: dict[int, int]
@@ -153,11 +157,12 @@ def _hom_pairs(l: int, m: int, twist: int = 0):
     det(Q)^twist for every pair in the l x (m-l) box."""
     det = SchurSum(l)
     det.add((twist,) * l)
+    memo: dict = {}
     wedges = {alpha: exterior_expand(alpha, l) for alpha in enumerate_box(l, m - l)}
     for alpha, source in wedges.items():
-        dual = source.dual().tensor(det)
+        dual = source.dual().tensor(det, memo)
         for beta, target in wedges.items():
-            yield {"alpha": list(alpha.parts), "beta": list(beta.parts)}, dual.tensor(target)
+            yield {"alpha": alpha.parts, "beta": beta.parts}, dual.tensor(target, memo)
 
 
 def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
@@ -168,12 +173,13 @@ def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     cases = []
+    memo: dict = {}
     for t in range(t_max + 1):
         sym = SchurSum(l)
         for g, (_, dim_aux) in cauchy_expand(t, l, aux_dim):
             sym.add(g.padded(l), dim_aux)
         for inputs, qsum in pairs:
-            cases.append(_case({"t": t, **inputs}, m, qsum.tensor(sym)))
+            cases.append(_case({"t": t, **inputs}, m, qsum.tensor(sym, memo)))
     return _report(check, {"l": l, "m": m, "n": n, "t_max": t_max}, cases)
 
 
@@ -188,7 +194,7 @@ def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
     schur = SchurSum(l)
     schur.add(delta.padded(l))
     case = _case(
-        {"alpha": list(alpha.parts), "delta": list(delta.parts)},
+        {"alpha": alpha.parts, "delta": delta.parts},
         m,
         exterior_expand(alpha, l).dual().tensor(schur),
     )
@@ -231,7 +237,7 @@ def check_fm_kernel(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
     if not 1 <= l < m:
         raise ValueError("need 1 <= l < m")
     pairs = [
-        ({"alpha": list(alpha.parts)}, exterior_expand(alpha, l).dual())
+        ({"alpha": alpha.parts}, exterior_expand(alpha, l).dual())
         for alpha in enumerate_box(l, m - l)
     ]
     return _degreewise("fm-kernel-vanishing", l, m, n, t_max, l, pairs)

@@ -1,18 +1,23 @@
 """Characteristic-zero Schur calculus.
 
-Tensor products of GL(rank) modules follow the Brauer-Klimyk rule: the
-weights of the smaller factor, read off the tableau characters of its terms,
-are added to each highest weight of the other factor and straightened by the
-dotted Weyl action (`partitions.straighten`).  Littlewood-Richardson products
+Tensor products of GL(rank) modules are bilinear over pairs of irreducible
+terms.  Each pair, shifted to last entries 0, is multiplied by the
+Brauer-Klimyk rule: the weights of the smaller factor, read off its tableau
+character, are added to the highest weight of the other factor and
+straightened by the dotted Weyl action (`partitions.straighten`).  Littlewood-Richardson products
 are computed combinatorially, by enumerating skew semistandard fillings whose
 reverse reading word is a lattice word, and serve as the independent
 reference for those tensor products.  The tableau character oracle
 (semistandard Young tableaux) cross-checks LR; LR and the character oracle
 never share code paths.
 
-The weight table of each (shape, rank) is enumerated from tableaux once per
-process and kept as an immutable tuple (`_character_table`); both the
-Brauer-Klimyk tensor and `schur_character` read it.
+Tables are computed once per process and kept as immutable tuples: the
+weight table of each (shape, rank), enumerated from tableaux
+(`_character_table`, read by the Brauer-Klimyk step and `schur_character`),
+and the expansion of each box wedge power (`_exterior_table`, copied out by
+`exterior_expand`).  Products are computed once per verdict: each irreducible
+pair's product goes into a memo dict the caller owns and passes to
+`SchurSum.tensor`, so it is freed when the verdict returns.
 """
 
 from __future__ import annotations
@@ -59,38 +64,28 @@ class SchurSum:
             self.rank, {tuple(-v for v in reversed(w)): mult for w, mult in self.terms.items()}
         )
 
-    def _weights(self) -> dict[tuple[int, ...], int]:
-        """Every weight of the module with its multiplicity, from the tableau
-        character of each term shifted by its last entry."""
-        out: dict[tuple[int, ...], int] = {}
-        for w, mult in self.terms.items():
-            c = w[-1]
-            for expo, k in _character_table(canonical_parts([v - c for v in w]), self.rank):
-                mu = tuple(e + c for e in expo)
-                out[mu] = out.get(mu, 0) + mult * k
-        return out
-
-    def tensor(self, other: "SchurSum") -> "SchurSum":
-        """Brauer-Klimyk: every weight mu of the smaller factor and highest
-        weight x of the other give sign(w) V_{w(x + mu + rho) - rho}, where w
-        sorts x + mu + rho and a repeated entry gives nothing."""
+    def tensor(self, other: "SchurSum", memo: dict | None = None) -> "SchurSum":
+        """The tensor product, bilinear over pairs of terms.  Each pair is
+        shifted to last entries 0 and its product read from `memo` (a fresh
+        dict when None), where `_irreducible_product` puts it on first use;
+        a caller that passes one memo to many calls shares the products."""
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
-        dims = self.dimension(), other.dimension()
-        small, big = (other, self) if dims[1] <= dims[0] else (self, other)
-        weights = small._weights()
-        rho = tuple(range(self.rank - 1, -1, -1))
+        memo = {} if memo is None else memo
         acc: dict[tuple[int, ...], int] = {}
-        for x, mx in big.terms.items():
-            shifted = [a + r for a, r in zip(x, rho)]
-            for mu, mmu in weights.items():
-                st = straighten([a + b for a, b in zip(shifted, mu)])
-                if st is None:
-                    continue
-                inversions, v = st
-                z = tuple(a - r for a, r in zip(v, rho))
-                acc[z] = acc.get(z, 0) + (-1) ** inversions * mx * mmu
-        out = SchurSum(self.rank, {z: c for z, c in acc.items() if c})
+        ys = [(tuple(v - y[-1] for v in y), y[-1], my) for y, my in other.terms.items()]
+        for x, mx in self.terms.items():
+            x0 = tuple(v - x[-1] for v in x)
+            for y0, cy, my in ys:
+                c = x[-1] + cy
+                product = memo.get((x0, y0))
+                if product is None:
+                    product = memo[x0, y0] = _irreducible_product(x0, y0)
+                for z, k in product:
+                    z = tuple(v + c for v in z)
+                    acc[z] = acc.get(z, 0) + mx * my * k
+        out = SchurSum(self.rank, {z: k for z, k in acc.items() if k})
+        dims = self.dimension(), other.dimension()
         if out.dimension() != dims[0] * dims[1]:
             raise RuntimeError(f"tensor product of dimension {out.dimension()}, "
                                f"expected {dims[0]} * {dims[1]}")
@@ -104,6 +99,25 @@ class SchurSum:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SchurSum) and self.rank == other.rank and self.terms == other.terms
+
+
+def _irreducible_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple:
+    """Brauer-Klimyk for two partitions of length rank: every weight mu of the
+    smaller factor gives sign(w) V_{w(x + mu + rho) - rho}, where w sorts
+    x + mu + rho and a repeated entry gives nothing.  Returns the immutable
+    (weight, multiplicity) pairs of V_x x V_y."""
+    if weyl_dim(y) > weyl_dim(x):
+        x, y = y, x
+    rho = range(len(x) - 1, -1, -1)
+    shifted = [a + r for a, r in zip(x, rho)]
+    acc: dict[tuple[int, ...], int] = {}
+    for mu, k in _character_table(canonical_parts(y), len(y)):
+        st = straighten([a + b for a, b in zip(shifted, mu)])
+        if st is not None:
+            inversions, v = st
+            z = tuple(a - r for a, r in zip(v, rho))
+            acc[z] = acc.get(z, 0) + (-1) ** inversions * k
+    return tuple((z, k) for z, k in acc.items() if k)
 
 
 @dataclass
@@ -243,20 +257,26 @@ def exterior_expand(alpha, l: int) -> SchurSum:
     For shape alpha with conjugate columns (c_1, ..., c_r), expands
     wedge^{c_1} V x ... x wedge^{c_r} V with dim V = l as a fold of
     SchurSum.tensor over the column weights (1^c, 0^(l-c)).  The key alpha
-    itself appears with multiplicity one.
+    itself appears with multiplicity one.  The result is a fresh copy of the
+    cached expansion, so mutating it changes no later answer.
     """
     alpha = Partition.of(alpha)
     if len(alpha) > l:
         raise ValueError(f"shape {alpha.parts} has more than {l} rows")
+    return SchurSum(l, dict(_exterior_table(alpha.parts, l)))
+
+
+@functools.cache
+def _exterior_table(parts: tuple[int, ...], l: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The (weight, multiplicity) pairs of `exterior_expand(parts, l)`, for
+    canonical `parts` with at most l rows."""
     out = SchurSum.unit(l)
-    for c in conjugate(alpha).parts:
-        column = SchurSum(l)
-        column.add((1,) * c + (0,) * (l - c))
-        out = out.tensor(column)
-    mult = out.terms.get(alpha.padded(l), 1)
+    for c in conjugate(parts).parts:
+        out = out.tensor(SchurSum(l, {(1,) * c + (0,) * (l - c): 1}))
+    mult = out.terms.get(Partition(parts).padded(l), 1)
     if mult != 1:
-        raise RuntimeError(f"{alpha.parts} has multiplicity {mult} in its own expansion")
-    return out
+        raise RuntimeError(f"{parts} has multiplicity {mult} in its own expansion")
+    return tuple(out.terms.items())
 
 
 def tensor_weights(x, y, l: int) -> SchurSum:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -109,6 +111,29 @@ def test_euler_additivity():
         by_terms += mult * bott_cohomology(2, 4, x, (0, 0)).euler()
     assert total.euler() == by_terms
     assert total.degrees() == {0: 4}
+
+
+def test_cohomology_of_rejects_non_dominant_terms():
+    with pytest.raises(ValueError):
+        cohomology_of(4, SchurSum(2, {(1, 1): 1, (0, 1): 2}))
+    with pytest.raises(ValueError):
+        cohomology_of(1, SchurSum.unit(2))
+
+
+@pytest.mark.parametrize("l, m", [(2, 5), (3, 6)])
+def test_cohomology_of_is_the_sum_of_its_pure_terms(l, m):
+    """The whole table of every box Hom pair, not only its Euler
+    characteristic, is the sum of mult * bott_cohomology over its terms."""
+    unit = (0,) * (m - l)
+    pairs = list(bott._hom_pairs(l, m))
+    assert len(pairs) == math.comb(m, l) ** 2
+    for inputs, qsum in pairs:
+        want = bott.CohomologyTable(m)
+        for x, mult in qsum.items():
+            for deg, row in bott_cohomology(l, m, x, unit).entries.items():
+                for w, k in row.items():
+                    want.add(deg, w, mult * k)
+        assert cohomology_of(m, qsum).entries == want.entries, inputs
 
 
 def test_hom_vanishing_examples():

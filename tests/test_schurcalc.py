@@ -98,6 +98,16 @@ def test_exterior_expand_dimension():
             assert s.dimension() == expected
 
 
+def test_exterior_expand_hands_out_a_fresh_copy():
+    want = {(2, 1, 0): 1, (1, 1, 1): 1}
+    poisoned = exterior_expand((2, 1, 0), 3)
+    poisoned.add((3, 0, 0), 4)
+    poisoned.terms[(2, 1, 0)] = 9
+    assert exterior_expand((2, 1), 3).terms == want
+    table = schurcalc._exterior_table((2, 1), 3)
+    assert isinstance(table, tuple) and dict(table) == want
+
+
 def test_tensor_weights_examples():
     assert tensor_weights((0, 0), (2, 0), 2).terms == {(2, 0): 1}
     assert tensor_weights((-1, -1), (2, 0), 2).terms == {(1, -1): 1}
@@ -172,10 +182,12 @@ def test_cold_and_warm_reports_are_byte_identical(capsys):
     ]
     for argv in commands:
         schurcalc._character_table.cache_clear()
+        schurcalc._exterior_table.cache_clear()
         partitions._weyl_dim.cache_clear()
         assert cli.main(argv) == 0
         cold = capsys.readouterr().out
         assert schurcalc._character_table.cache_info().currsize > 0
+        assert schurcalc._exterior_table.cache_info().currsize > 0
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == cold
 
@@ -266,3 +278,82 @@ def test_schur_sum_tensor_matches_lr_reference(sums):
     assert got == want
     assert got == t.tensor(s)
     assert got.dimension() == s.dimension() * t.dimension()
+
+
+# ---------------------------------------------------------------------------
+# The pairwise memoized tensor against the sum-level Brauer-Klimyk loop
+
+
+def sum_level_brauer_klimyk(s: SchurSum, t: SchurSum) -> SchurSum:
+    """Reference tensor product: merge the weights of the factor of smaller
+    dimension, read from the tableau character of each term shifted by its
+    last entry, and straighten each against every highest weight of the
+    other factor."""
+    small, big = (t, s) if t.dimension() <= s.dimension() else (s, t)
+    weights: dict = {}
+    for w, mult in small.terms.items():
+        c = w[-1]
+        for expo, k in schur_character(tuple(v - c for v in w), s.rank).coeffs.items():
+            mu = tuple(e + c for e in expo)
+            weights[mu] = weights.get(mu, 0) + mult * k
+    rho = tuple(range(s.rank - 1, -1, -1))
+    acc: dict = {}
+    for x, mx in big.terms.items():
+        for mu, mmu in weights.items():
+            st = partitions.straighten([a + b + r for a, b, r in zip(x, mu, rho)])
+            if st is None:
+                continue
+            inversions, v = st
+            z = tuple(a - r for a, r in zip(v, rho))
+            acc[z] = acc.get(z, 0) + (-1) ** inversions * mx * mmu
+    return SchurSum(s.rank, {z: c for z, c in acc.items() if c})
+
+
+SHARED_MEMO: dict = {}
+
+
+@settings(deadline=None)
+@given(st.lists(sum_pairs(), min_size=1, max_size=3))
+def test_schur_sum_tensor_matches_sum_level_oracle(pairs):
+    """Fresh memo, one memo across the calls of one example (mixed ranks),
+    and one memo across every example the test draws."""
+    local: dict = {}
+    for s, t in pairs:
+        want = sum_level_brauer_klimyk(s, t)
+        assert s.tensor(t) == want
+        assert s.tensor(t, local) == want
+        assert t.tensor(s, local) == want
+        assert s.tensor(t, SHARED_MEMO) == want
+
+
+def test_one_memo_across_ranks_matches_oracle_and_lr():
+    """Box exterior powers of ranks 1-4 through one memo: equal to the
+    sum-level loop, and on these partition sums to Littlewood-Richardson."""
+    memo: dict = {}
+    for l in (1, 2, 3, 4):
+        sums = [exterior_expand(p, l) for p in all_partitions(3, max_rows=l)]
+        for s in sums:
+            for t in sums:
+                got = s.tensor(t, memo)
+                assert got == sum_level_brauer_klimyk(s, t)
+                want = SchurSum(l)
+                for x, mx in s.terms.items():
+                    for y, my in t.terms.items():
+                        for g, c in lr_coefficients(x, y).items():
+                            if len(g) <= l:
+                                want.add(g.padded(l), mx * my * c)
+                assert got == want
+    assert {len(x) for x, _ in memo} == {1, 2, 3, 4}
+
+
+def test_poisoned_memo_entry_fails_the_dimension_check():
+    s = SchurSum(2, {(1, 0): 2, (0, -1): 1})
+    memo: dict = {}
+    want = s.tensor(s, memo)
+    key = ((1, 0), (1, 0))
+    assert dict(memo[key]) == {(2, 0): 1, (1, 1): 1}
+    memo[key] = (((2, 0), 1),)
+    with pytest.raises(RuntimeError, match="dimension"):
+        s.tensor(s, memo)
+    del memo[key]
+    assert s.tensor(s, memo) == want
