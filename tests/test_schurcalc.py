@@ -300,10 +300,10 @@ def sum_level_brauer_klimyk(s: SchurSum, t: SchurSum) -> SchurSum:
     acc: dict = {}
     for x, mx in big.terms.items():
         for mu, mmu in weights.items():
-            st = partitions.straighten([a + b + r for a, b, r in zip(x, mu, rho)])
-            if st is None:
+            straight = partitions.straighten([a + b + r for a, b, r in zip(x, mu, rho)])
+            if straight is None:
                 continue
-            inversions, v = st
+            inversions, v = straight
             z = tuple(a - r for a, r in zip(v, rho))
             acc[z] = acc.get(z, 0) + (-1) ** inversions * mx * mmu
     return SchurSum(s.rank, {z: c for z, c in acc.items() if c})
