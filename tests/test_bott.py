@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -13,8 +14,8 @@ from detlab.bott import (
     check_tilting_springer,
     cohomology_of,
 )
-from detlab.partitions import all_partitions, weyl_dim
-from detlab.schurcalc import SchurSum
+from detlab.partitions import all_partitions, enumerate_box, weyl_dim
+from detlab.schurcalc import SchurSum, exterior_expand
 
 
 def serre_dual_term(l, m, x, y):
@@ -134,6 +135,24 @@ def test_cohomology_of_is_the_sum_of_its_pure_terms(l, m):
                 for w, k in row.items():
                     want.add(deg, w, mult * k)
         assert cohomology_of(m, qsum).entries == want.entries, inputs
+
+
+@pytest.mark.parametrize("l, m", [(1, 3), (2, 5), (3, 6), (3, 7), (4, 8)])
+def test_hom_pairs_match_the_tensor_of_both_wedge_expansions(l, m):
+    """Oracle: each Hom pair's sum, in box order, is the tensor of the two
+    box wedge expansions, exterior_expand(alpha).dual() x det^t x
+    exterior_expand(beta), at twists 0, 1 and 2."""
+    box = enumerate_box(l, m - l)
+    memo = {}
+    for twist in (0, 1, 2):
+        det = SchurSum(l, {(twist,) * l: 1})
+        sources = {a: exterior_expand(a, l).dual().tensor(det, memo) for a in box}
+        pairs = list(bott._hom_pairs(l, m, twist))
+        assert len(pairs) == len(box) ** 2
+        for (alpha, beta), (inputs, qsum) in zip(itertools.product(box, box), pairs):
+            assert inputs == {"alpha": alpha.parts, "beta": beta.parts}
+            want = sources[alpha].tensor(exterior_expand(beta, l), memo)
+            assert qsum == want, (twist, inputs)
 
 
 def test_hom_vanishing_examples():

@@ -141,8 +141,10 @@ def test_json_reports_are_frozen(command):
     assert r.stdout == json.dumps(want, indent=2) + "\n"
 
 
-# SHA-256 of the whole --json stdout of the bench-scale Bott checks; the
-# reports themselves (up to 668 KB each) are too large to keep in the repo
+# SHA-256 of the whole --json stdout of the bench-scale Bott checks, of a
+# dualizing check with a nonzero twist (n > m) and of the (4, 8) tilting
+# check; the reports themselves (up to 1.1 MB each) are too large to keep in
+# the repo
 FROZEN_DIGESTS = {
     "check-tilt-grass --l 3 --m 8":
         "50b205ae69f457ac657b8afa81d869a7f50f6b1aa99a82c23dfb933b1fad1799",
@@ -150,6 +152,10 @@ FROZEN_DIGESTS = {
         "c6fa5947246e10c200d181a8dd187b6c0fa84640ff90b6dd35ba017925df00a8",
     "check-dualizing --l 3 --m 6 --n 6 --tmax 2":
         "1e0d286482e8146e52474019d1734c91b6759599962568deae6fdfb7875f808c",
+    "check-dualizing --l 2 --m 4 --n 6 --tmax 2":
+        "3106009fc1754646abbda5a465530296ff31ebbfaae33147ebb4e58a7e2cba96",
+    "check-tilt-grass --l 4 --m 8":
+        "184e2dd82ffedc42ee9916fc13f567d3d29bb8dbf7530bb079e43258c7d8d2e9",
 }
 
 
