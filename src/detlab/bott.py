@@ -11,14 +11,14 @@ R side); `bott_cohomology` takes a single pure term with an R-side weight.
 `cohomology_of(m, qsum)` takes the cohomology of qsum(Q) on
 Grass(qsum.rank, m) one pure term at a time, through the same per-term
 straightening as `bott_cohomology`, and every vanishing checker builds the
-Q-side sum of each case and calls it.  Each Hom pair is one SchurSum.tensor
-of box wedge powers of Q and their duals, tensored with Sym_t(aux x Q) degree
-by degree where the check is degreewise.  Each checker call owns one product
-memo for its tensors, so an irreducible product is computed once per verdict
-and freed with it; the weight tables and wedge-power expansions the tensors
-start from are computed once per process and kept immutable (see
-`schurcalc`), and so is each Weyl dimension.  Bott's sort-and-sign and the
-Brauer-Klimyk tensor product share `partitions.straighten`.
+Q-side sum of each case and calls it.  With E_alpha the tensor of wedge^c Q
+over the columns c of alpha, (wedge^c Q)^dual = wedge^{l-c} Q x det(Q)^{-1}
+makes Hom(E_alpha, E_beta) x det^t = E_gamma x det^{t - alpha_1}, with gamma
+the columns l - c < l of alpha and those of beta: a Hom pair is one wedge
+power.  A checker call computes each E_gamma, product and term straightening
+once, in memos freed with its verdict; weight tables, wedge expansions and
+Weyl dimensions are kept per process and immutable (see `schurcalc`).
+Bott's sort-and-sign and Brauer-Klimyk share `partitions.straighten`.
 
 Everything here is characteristic zero and every report says so.
 """
@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .partitions import Partition, enumerate_box, straighten, weyl_dim
-from .schurcalc import SchurSum, cauchy_expand, exterior_expand
+from .partitions import Partition, conjugate, enumerate_box, straighten, weyl_dim
+from .schurcalc import SchurSum, cauchy_expand, column_fold, exterior_expand
 
 CHAR_ZERO_NOTE = "characteristic-zero cohomology oracle"
 
@@ -72,16 +72,13 @@ class CohomologyTable:
         return all(deg <= 0 for deg in self.entries)
 
 
-def _add_pure_term(table: CohomologyTable, x: tuple, y: tuple, mult: int) -> None:
-    """Add mult times the cohomology of L_x(Q) x L_y(R) on Grass(len(x), table.m)."""
-    for w in (x, y):
-        if list(w) != sorted(w, reverse=True):
-            raise ValueError(f"weight {w} is not dominant")
-    rho = range(table.m - 1, -1, -1)
+def _pure_term(m: int, x: tuple, y: tuple) -> tuple:
+    """H^*(L_x(Q) x L_y(R)) on Grass(len(x), m), y dominant: (degree, weight) or ()."""
+    if any(a < b for a, b in zip(x, x[1:])):
+        raise ValueError(f"weight {x} is not dominant")
+    rho = range(m - 1, -1, -1)
     st = straighten([a + b for a, b in zip(x + y, rho)])
-    if st is not None:
-        inversions, v = st
-        table.add(inversions, tuple(a - b for a, b in zip(v, rho)), mult)
+    return () if st is None else (st[0], tuple(a - b for a, b in zip(st[1], rho)))
 
 
 def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> CohomologyTable:
@@ -90,19 +87,30 @@ def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> Cohom
     y = tuple(int(v) for v in y)
     if len(x) != l or len(y) != m - l:
         raise ValueError(f"weights must have lengths {l} and {m - l}")
+    if any(a < b for a, b in zip(y, y[1:])):
+        raise ValueError(f"weight {y} is not dominant")
     table = CohomologyTable(m)
-    _add_pure_term(table, x, y, 1)
+    term = _pure_term(m, x, y)
+    if term:
+        table.add(*term, 1)
     return table
 
 
-def cohomology_of(m: int, qsum: SchurSum) -> CohomologyTable:
-    """Cohomology of qsum(Q) on Grass(qsum.rank, m), term by pure term."""
+def cohomology_of(m: int, qsum: SchurSum, memo: dict | None = None) -> CohomologyTable:
+    """Cohomology of qsum(Q) on Grass(qsum.rank, m), term by pure term, each
+    read from `memo` (a fresh dict when None) under (m, weight), where it is
+    put once it has passed the dominance check."""
     if qsum.rank > m:
         raise ValueError(f"rank {qsum.rank} exceeds m = {m}")
+    memo = {} if memo is None else memo
     table = CohomologyTable(m)
     unit = (0,) * (m - qsum.rank)
     for x, mult in qsum.items():
-        _add_pure_term(table, x, unit, mult)
+        term = memo.get((m, x))
+        if term is None:
+            term = memo[m, x] = _pure_term(m, x, unit)
+        if term:
+            table.add(*term, mult)
     return table
 
 
@@ -112,14 +120,14 @@ def cohomology_of(m: int, qsum: SchurSum) -> CohomologyTable:
 
 @dataclass(slots=True)
 class CheckCase:
-    inputs: dict
-    degrees: dict[int, int]
+    inputs: tuple  # (name, value) pairs, shared between cases where they repeat
+    degrees: tuple  # (degree, dimension) pairs in increasing degree
     passed: bool
 
     def to_json(self) -> dict:
         return {
-            "input": self.inputs,
-            "degrees": {str(k): v for k, v in sorted(self.degrees.items())},
+            "input": dict(self.inputs),
+            "degrees": {str(k): v for k, v in self.degrees},
             "pass": self.passed,
         }
 
@@ -146,23 +154,32 @@ def _report(check: str, parameters: dict, cases: list[CheckCase]) -> CheckReport
     return CheckReport(check, parameters, cases, all(c.passed for c in cases))
 
 
-def _case(inputs: dict, m: int, qsum: SchurSum) -> CheckCase:
+def _case(inputs: tuple, m: int, qsum: SchurSum, memo: dict | None = None) -> CheckCase:
     """One case: qsum(Q) on Grass(qsum.rank, m) has no higher cohomology."""
-    table = cohomology_of(m, qsum)
-    return CheckCase(inputs, table.degrees(), table.vanishes_above())
+    table = cohomology_of(m, qsum, memo)
+    return CheckCase(inputs, tuple(table.degrees().items()), table.vanishes_above())
 
 
 def _hom_pairs(l: int, m: int, twist: int = 0):
-    """Yield (inputs, Q-side sum) of Hom(wedge^{alpha'}Q, wedge^{beta'}Q) x
-    det(Q)^twist for every pair in the l x (m-l) box."""
-    det = SchurSum(l)
-    det.add((twist,) * l)
-    memo: dict = {}
-    wedges = {alpha: exterior_expand(alpha, l) for alpha in enumerate_box(l, m - l)}
-    for alpha, source in wedges.items():
-        dual = source.dual().tensor(det, memo)
-        for beta, target in wedges.items():
-            yield {"alpha": alpha.parts, "beta": beta.parts}, dual.tensor(target, memo)
+    """Yield (inputs, Q-side sum) of Hom(E_alpha, E_beta) x det(Q)^twist =
+    E_gamma x det(Q)^{twist - alpha_1} for every pair in the l x (m-l) box;
+    each sum must hold V_{beta - rev(alpha) + twist}, its top weight."""
+    box = enumerate_box(l, m - l)
+    cols = {a: conjugate(a).parts for a in box}
+    named = {a: (("alpha", a.parts), ("beta", a.parts)) for a in box}
+    folds, memo = {}, {}
+    for alpha in box:
+        duals = [l - c for c in cols[alpha] if c < l]
+        shift = twist - alpha.part(0)
+        low = tuple(twist - a for a in reversed(alpha.padded(l)))
+        for beta in box:
+            gamma = tuple(sorted(duals + list(cols[beta]), reverse=True))
+            qsum = SchurSum(l, {tuple(v + shift for v in w): k
+                                for w, k in column_fold(gamma, l, folds, memo).terms.items()})
+            top = tuple(a + b for a, b in zip(low, beta.padded(l)))
+            if qsum.terms.get(top, 0) < 1:
+                raise RuntimeError(f"Hom({alpha.parts}, {beta.parts}) lacks its top weight {top}")
+            yield (named[alpha][0], named[beta][1]), qsum
 
 
 def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
@@ -173,13 +190,11 @@ def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     cases = []
-    memo: dict = {}
+    products, terms = {}, {}
     for t in range(t_max + 1):
-        sym = SchurSum(l)
-        for g, (_, dim_aux) in cauchy_expand(t, l, aux_dim):
-            sym.add(g.padded(l), dim_aux)
+        sym = SchurSum(l, {g.padded(l): d for g, (_, d) in cauchy_expand(t, l, aux_dim)})
         for inputs, qsum in pairs:
-            cases.append(_case({"t": t, **inputs}, m, qsum.tensor(sym, memo)))
+            cases.append(_case((("t", t), *inputs), m, qsum.tensor(sym, products), terms))
     return _report(check, {"l": l, "m": m, "n": n, "t_max": t_max}, cases)
 
 
@@ -191,20 +206,16 @@ def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
         raise ValueError(f"{alpha.parts} does not fit in the {l} x {m - l} box")
     if len(delta) > l:
         raise ValueError(f"{delta.parts} has more than {l} rows")
-    schur = SchurSum(l)
-    schur.add(delta.padded(l))
-    case = _case(
-        {"alpha": alpha.parts, "delta": delta.parts},
-        m,
-        exterior_expand(alpha, l).dual().tensor(schur),
-    )
+    qsum = exterior_expand(alpha, l).dual().tensor(SchurSum(l, {delta.padded(l): 1}))
+    case = _case((("alpha", alpha.parts), ("delta", delta.parts)), m, qsum)
     return _report("hom-vanishing", {"l": l, "m": m}, [case])
 
 
 def check_tilting_grass(l: int, m: int) -> CheckReport:
     """No higher self-extensions between box wedge powers of Q: for every
     pair (alpha, beta) in the box, H^{>0}(Hom(wedge^{alpha'}Q, wedge^{beta'}Q)) = 0."""
-    cases = [_case(inputs, m, qsum) for inputs, qsum in _hom_pairs(l, m)]
+    memo: dict = {}
+    cases = [_case(inputs, m, qsum, memo) for inputs, qsum in _hom_pairs(l, m)]
     return _report("tilting-grassmannian", {"l": l, "m": m}, cases)
 
 
@@ -236,8 +247,5 @@ def check_fm_kernel(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
         raise ValueError("requires m <= n")
     if not 1 <= l < m:
         raise ValueError("need 1 <= l < m")
-    pairs = [
-        ({"alpha": alpha.parts}, exterior_expand(alpha, l).dual())
-        for alpha in enumerate_box(l, m - l)
-    ]
+    pairs = [((("alpha", a.parts),), exterior_expand(a, l).dual()) for a in enumerate_box(l, m - l)]
     return _degreewise("fm-kernel-vanishing", l, m, n, t_max, l, pairs)

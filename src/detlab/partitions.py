@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -138,17 +139,20 @@ def _weyl_dim(w: tuple[int, ...]) -> int:
 
 def straighten(v) -> tuple[int, tuple[int, ...]] | None:
     """Sort v into strictly decreasing order: (inversion count, sorted tuple),
-    or None when an entry repeats.
+    or None when an entry repeats; inversions are counted by bisection.
 
     This is the dotted Weyl-group step shared by Bott's theorem and the
     Brauer-Klimyk rule, applied to a weight that already has rho added.
     """
-    n = len(v)
-    s = tuple(sorted(v, reverse=True))
-    if len(set(s)) < n:
-        return None
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j])
-    return inversions, s
+    seen: list[int] = []  # the entries so far, increasing
+    inversions = 0
+    for a in v:
+        k = bisect_left(seen, a)  # earlier entries below a
+        if k < len(seen) and seen[k] == a:
+            return None
+        inversions += k
+        seen.insert(k, a)
+    return inversions, tuple(reversed(seen))
 
 
 def all_partitions(max_size: int, max_rows: int | None = None) -> list[Partition]:

@@ -15,9 +15,10 @@ Tables are computed once per process and kept as immutable tuples: the
 weight table of each (shape, rank), enumerated from tableaux
 (`_character_table`, read by the Brauer-Klimyk step and `schur_character`),
 and the expansion of each box wedge power (`_exterior_table`, copied out by
-`exterior_expand`).  Products are computed once per verdict: each irreducible
-pair's product goes into a memo dict the caller owns and passes to
-`SchurSum.tensor`, so it is freed when the verdict returns.
+`exterior_expand`).  A tensor of column wedge powers wedge^c V is one path,
+`column_fold`, which tensors in one column at a time and keeps each prefix.
+Products and folds are computed once per verdict, in memo dicts the caller
+owns and passes in, so they are freed when the verdict returns.
 """
 
 from __future__ import annotations
@@ -266,13 +267,25 @@ def exterior_expand(alpha, l: int) -> SchurSum:
     return SchurSum(l, dict(_exterior_table(alpha.parts, l)))
 
 
+def column_fold(columns: tuple[int, ...], l: int, folds: dict, memo: dict | None = None) -> SchurSum:
+    """wedge^{c_1} V x ... x wedge^{c_r} V, dim V = l, for `columns` in 0..l:
+    the fold of columns[:-1] tensored with (1^c_r, 0^(l-c_r)).  Every fold made
+    is kept in `folds`, a dict the caller owns, and shared with it."""
+    if not columns:
+        return SchurSum.unit(l)
+    out = folds.get(columns)
+    if out is None:
+        c = columns[-1]
+        column = SchurSum(l, {(1,) * c + (0,) * (l - c): 1})
+        out = folds[columns] = column_fold(columns[:-1], l, folds, memo).tensor(column, memo)
+    return out
+
+
 @functools.cache
 def _exterior_table(parts: tuple[int, ...], l: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The (weight, multiplicity) pairs of `exterior_expand(parts, l)`, for
     canonical `parts` with at most l rows."""
-    out = SchurSum.unit(l)
-    for c in conjugate(parts).parts:
-        out = out.tensor(SchurSum(l, {(1,) * c + (0,) * (l - c): 1}))
+    out = column_fold(conjugate(parts).parts, l, {})
     mult = out.terms.get(Partition(parts).padded(l), 1)
     if mult != 1:
         raise RuntimeError(f"{parts} has multiplicity {mult} in its own expansion")

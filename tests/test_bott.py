@@ -124,10 +124,12 @@ def test_cohomology_of_rejects_non_dominant_terms():
 @pytest.mark.parametrize("l, m", [(2, 5), (3, 6)])
 def test_cohomology_of_is_the_sum_of_its_pure_terms(l, m):
     """The whole table of every box Hom pair, not only its Euler
-    characteristic, is the sum of mult * bott_cohomology over its terms."""
+    characteristic, is the sum of mult * bott_cohomology over its terms,
+    with a fresh term memo per call and with one memo shared by all pairs."""
     unit = (0,) * (m - l)
     pairs = list(bott._hom_pairs(l, m))
     assert len(pairs) == math.comb(m, l) ** 2
+    shared = {}
     for inputs, qsum in pairs:
         want = bott.CohomologyTable(m)
         for x, mult in qsum.items():
@@ -135,6 +137,26 @@ def test_cohomology_of_is_the_sum_of_its_pure_terms(l, m):
                 for w, k in row.items():
                     want.add(deg, w, mult * k)
         assert cohomology_of(m, qsum).entries == want.entries, inputs
+        assert cohomology_of(m, qsum, shared).entries == want.entries, inputs
+
+
+def test_one_term_memo_serves_several_m():
+    # (0, -3) has H^1 on Grass(2, 4) and no cohomology on Grass(2, 5)
+    qsum = SchurSum(2, {(0, -3): 1, (2, -1): 1, (1, 1): 2, (-1, -4): 1})
+    fresh = {m: cohomology_of(m, qsum).entries for m in (4, 5)}
+    assert fresh[4] != fresh[5]
+    memo = {}
+    for m in (4, 5, 4, 5):
+        assert cohomology_of(m, qsum, memo).entries == fresh[m]
+
+
+def test_non_dominant_terms_raise_on_every_call_with_a_memo():
+    memo = {}
+    bad = SchurSum(2, {(1, 1): 1, (0, 1): 2})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cohomology_of(4, bad, memo)
+    assert (4, (0, 1)) not in memo
 
 
 @pytest.mark.parametrize("l, m", [(1, 3), (2, 5), (3, 6), (3, 7), (4, 8)])
@@ -150,7 +172,7 @@ def test_hom_pairs_match_the_tensor_of_both_wedge_expansions(l, m):
         pairs = list(bott._hom_pairs(l, m, twist))
         assert len(pairs) == len(box) ** 2
         for (alpha, beta), (inputs, qsum) in zip(itertools.product(box, box), pairs):
-            assert inputs == {"alpha": alpha.parts, "beta": beta.parts}
+            assert dict(inputs) == {"alpha": alpha.parts, "beta": beta.parts}
             want = sources[alpha].tensor(exterior_expand(beta, l), memo)
             assert qsum == want, (twist, inputs)
 
@@ -172,9 +194,9 @@ def test_checker_cases_go_through_cohomology_of(monkeypatch):
     calls = []
     inner = bott.cohomology_of
 
-    def counting(m, qsum):
+    def counting(m, qsum, *rest):
         calls.append(m)
-        return inner(m, qsum)
+        return inner(m, qsum, *rest)
 
     monkeypatch.setattr(bott, "cohomology_of", counting)
     assert len(check_tilting_grass(1, 3).cases) == 9
@@ -188,6 +210,11 @@ def test_tilting_grass_counts():
     assert rep.passed and len(rep.cases) == 36
     rep = check_tilting_grass(2, 5)
     assert rep.passed and len(rep.cases) == 100
+
+
+def test_tilting_grass_reaches_4_8():
+    rep = check_tilting_grass(4, 8)
+    assert rep.passed and len(rep.cases) == 4900
 
 
 def test_tilting_springer_examples():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from detlab.partitions import (
     Partition,
@@ -119,3 +119,23 @@ def test_straighten_sign_is_parity_of_swaps(v):
                 w[j], w[j + 1] = w[j + 1], w[j]
                 swaps += 1
     assert st_v == (swaps, tuple(w))
+
+
+def quadratic_straighten(v):
+    """The O(n^2) pair count that `straighten` used before it counted by
+    bisection, kept here as its oracle."""
+    n = len(v)
+    s = tuple(sorted(v, reverse=True))
+    if len(set(s)) < n:
+        return None
+    return sum(1 for i in range(n) for j in range(i + 1, n) if v[i] < v[j]), s
+
+
+@given(
+    st.lists(st.integers(-12, 12), max_size=10)
+    | st.lists(st.integers(-40, 40), max_size=12, unique=True)
+)
+@settings(max_examples=400)
+def test_straighten_matches_the_quadratic_count(v):
+    assert straighten(v) == quadratic_straighten(v)
+    assert straighten(tuple(v)) == quadratic_straighten(v)

@@ -179,17 +179,20 @@ def test_cold_and_warm_reports_are_byte_identical(capsys):
     commands = [
         ["check-tilt-grass", "--l", "2", "--m", "5", "--json"],
         ["check-tilt-springer", "--l", "2", "--m", "3", "--n", "4", "--tmax", "3", "--json"],
+        ["check-fm", "--l", "2", "--m", "4", "--n", "5", "--tmax", "2", "--json"],
     ]
+    tables = [schurcalc._character_table, schurcalc._exterior_table, partitions._weyl_dim]
+    filled = set()
     for argv in commands:
-        schurcalc._character_table.cache_clear()
-        schurcalc._exterior_table.cache_clear()
-        partitions._weyl_dim.cache_clear()
+        for table in tables:
+            table.cache_clear()
         assert cli.main(argv) == 0
         cold = capsys.readouterr().out
-        assert schurcalc._character_table.cache_info().currsize > 0
-        assert schurcalc._exterior_table.cache_info().currsize > 0
+        filled |= {i for i, table in enumerate(tables) if table.cache_info().currsize}
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == cold
+    # each per-process table is filled by at least one command
+    assert filled == set(range(len(tables)))
 
 
 def test_character_symmetry():
