@@ -142,10 +142,17 @@ def test_json_reports_are_frozen(command):
 
 
 # SHA-256 of the whole --json stdout of the bench-scale Bott checks, of a
-# dualizing check with a nonzero twist (n > m) and of the (4, 8) tilting
-# check; the reports themselves (up to 1.1 MB each) are too large to keep in
-# the repo
+# dualizing check with a nonzero twist (n > m), of the (4, 8) tilting check,
+# of two presentation dumps with char-0 coefficient strings and of a char-0
+# resolution; the reports themselves (up to 1.1 MB each) are too large to
+# keep in the repo
 FROZEN_DIGESTS = {
+    "build-talpha --m 3 --n 3 --l 1 --alpha 2":
+        "d111a84f84047416c5aa913470debc237e99e9474e2163794c3de7f40b333243",
+    "build-talpha --m 3 --n 4 --l 2 --alpha 1,1":
+        "e91429306876b0f00e6e8c0b568aa4f6876a350dae474d9725e415a938747f00",
+    "resolve --m 3 --n 5 --l 2 --alpha 1":
+        "b3d83e9661f398f503a9a8155b4dc9b9121cd55ee22a7ee7e77d7a5a0955a87a",
     "check-tilt-grass --l 3 --m 8":
         "50b205ae69f457ac657b8afa81d869a7f50f6b1aa99a82c23dfb933b1fad1799",
     "check-tilt-springer --l 3 --m 6 --n 6 --tmax 2":
