@@ -27,10 +27,8 @@ instead of carrying into the next field, both where terms enter and where a
 multiplication could leave the range.  `Vector`, `grevlex_key` and everything
 this module returns keep the tuple form `(pos, mono)`.
 
-Coefficients: over F_p they are ints in [0, p).  In characteristic zero they
-stay ints inside the engine while they are integral (the determinantal
-presentations have 3-bit coefficients) and are `Fraction` again wherever they
-leave it.
+Coefficients are in `PolyRing`'s format; `_vector`, the engine's one exit,
+turns an integral `Fraction` that reduction can leave back into an int.
 
 Pair management follows Gebauer-Moller.  The coprime (product) criterion is
 only applied when both elements are supported in a single position, where the
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import struct
-from fractions import Fraction
 from itertools import groupby, islice
 from typing import Iterable, Sequence
 
@@ -174,21 +171,14 @@ class GroebnerEngine:
         # processed or dropped
         self._pending: dict[int, dict[tuple[int, int], int]] = {}
 
-    # -- conversion at the boundary ----------------------------------------------
+    # -- packing at the boundary -------------------------------------------------
     def _pack(self, terms: dict) -> dict:
         pack = self.codec.pack
-        if self.ring.char:
-            return {pack(t): c for t, c in terms.items()}
-        return {pack(t): integral(c) for t, c in terms.items()}
+        return {pack(t): c for t, c in terms.items()}
 
     def _vector(self, terms: dict) -> Vector:
         unpack = self.codec.unpack
-        if self.ring.char:
-            return Vector(self.ring, {unpack(k): c for k, c in terms.items()})
-        return Vector(
-            self.ring,
-            {unpack(k): c if type(c) is Fraction else Fraction(c) for k, c in terms.items()},
-        )
+        return Vector(self.ring, {unpack(k): integral(c) for k, c in terms.items()})
 
     # -- basic helpers ---------------------------------------------------------
     def _pos_degree(self, pos: int) -> int:
@@ -208,7 +198,7 @@ class GroebnerEngine:
                 terms = {t: v // c for t, v in terms.items()}
             else:
                 inv = ring.coeff_inv(c)
-                terms = {t: integral(v * inv) for t, v in terms.items()}
+                terms = {t: ring.coeff_mul(v, inv) for t, v in terms.items()}
         if next(iter(terms)) != lead:
             terms = {lead: terms[lead], **terms}
         return terms

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .groebner import GroebnerEngine, groebner, kernel_vectors, minimal_generators
 from .modules import FreeModule, ModuleMap, ModulePresentation, Vector
-from .rings import PolyRing, integral
+from .rings import PolyRing
 
 
 @dataclass
@@ -138,16 +138,14 @@ def contains(
 def random_rank(fmap: ModuleMap, point) -> int:
     """Rank of the map specialized at a point, by exact Gaussian elimination.
 
-    The matrix is built in one pass over each column's terms.  In
-    characteristic zero the values are summed as ints while integral and
-    every cell becomes a field coefficient (`Fraction`, or an int mod p)
-    once, before the elimination."""
+    The matrix is built in one pass over each column's terms, as plain sums
+    of products; every cell becomes a ring coefficient once, before the
+    elimination."""
     ring = fmap.source.ring
-    point = [integral(x) for x in point]
     mat = [[0] * fmap.source.rank for _ in range(fmap.target.rank)]
     for c, col in enumerate(fmap.columns):
         for (r, m), v in col.terms.items():
-            mat[r][c] += integral(v) * prod(x**e for x, e in zip(point, m) if e)
+            mat[r][c] += v * prod(x**e for x, e in zip(point, m) if e)
     return matrix_rank(ring, [[ring.coeff(x) for x in row] for row in mat])
 
 

@@ -11,10 +11,9 @@ source_degree(col) - target_degree(row).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
-from .rings import Polynomial, PolyRing, integral
+from .rings import Polynomial, PolyRing
 
 
 @dataclass(frozen=True)
@@ -141,18 +140,17 @@ class ModuleMap:
         ]
 
     def apply(self, v: Vector) -> Vector:
-        """Image of `v`, summed in one dict.  In characteristic zero the
-        products are taken as ints while integral; every sum becomes a field
-        coefficient (`Fraction`, or an int mod p) only when the result
-        `Vector` is built, where zero terms are dropped."""
+        """Image of `v`, summed in one dict of plain sums and products; each
+        sum becomes a ring coefficient (reduced mod p, or an int when
+        integral) only when the result `Vector` is built, where zero terms
+        are dropped."""
         ring = self.source.ring
         acc: dict = {}
         get = acc.get
         for (pos, m2), c2 in v.terms.items():
-            c2 = integral(c2)
             for (p, m1), c1 in self.columns[pos].terms.items():
                 t = (p, tuple(map(add, m1, m2)))
-                acc[t] = get(t, 0) + integral(c1) * c2
+                acc[t] = get(t, 0) + c1 * c2
         coeff = ring.coeff
         return Vector(ring, {t: c for t, s in acc.items() if (c := coeff(s))})
 
@@ -323,7 +321,7 @@ def poly_to_json(p: Polynomial) -> list:
 def poly_from_json(ring: PolyRing, data: list) -> Polynomial:
     terms = {}
     for cs, expo in data:
-        c = ring.coeff(Fraction(cs)) if not ring.char else ring.coeff(int(cs))
+        c = ring.coeff(cs)
         if c:
             terms[tuple(expo)] = c
     return Polynomial(ring, terms)

@@ -1,8 +1,11 @@
 """Exact sparse multivariate polynomials over QQ or a prime field.
 
-Coefficients are `fractions.Fraction` in characteristic zero and plain ints
-reduced mod p otherwise; monomials are exponent tuples.  All variables sit in
-degree one.
+Coefficients are ints reduced mod p over F_p.  In characteristic zero a
+coefficient is an int when its value is integral and a `fractions.Fraction`
+with denominator > 1 otherwise.  Only `PolyRing`'s coefficient operations and
+the Groebner engine's exit (through `integral`) produce that format; every
+other module stores and multiplies coefficients as it receives them.
+Monomials are exponent tuples.  All variables sit in degree one.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from fractions import Fraction
 
 
 def integral(c):
-    """A characteristic-zero coefficient as an int when it is integral: an int
-    or an integral `Fraction` becomes an int, any other `Fraction` is returned
-    unchanged."""
+    """A rational as a characteristic-zero coefficient: an int or an integral
+    `Fraction` becomes an int, any other `Fraction` is returned unchanged."""
     return c.numerator if c.denominator == 1 else c
 
 
@@ -51,15 +53,15 @@ class PolyRing:
     def coeff(self, value):
         if self.char:
             return int(value) % self.char
-        if isinstance(value, Fraction):
+        if type(value) is int:
             return value
-        return Fraction(value)
+        return integral(Fraction(value))
 
     def coeff_add(self, a, b):
-        return (a + b) % self.char if self.char else a + b
+        return (a + b) % self.char if self.char else integral(a + b)
 
     def coeff_mul(self, a, b):
-        return (a * b) % self.char if self.char else a * b
+        return (a * b) % self.char if self.char else integral(a * b)
 
     def coeff_neg(self, a):
         return (-a) % self.char if self.char else -a
@@ -71,7 +73,7 @@ class PolyRing:
             return pow(a, self.char - 2, self.char)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return integral(1 / Fraction(a))
 
     @property
     def zero_mono(self) -> tuple[int, ...]:

@@ -454,6 +454,12 @@ def test_guard_bit_divisibility_and_lcm(pos, a, b, split):
     assert (not codec.support(pa) & codec.support(pb)) == coprime
 
 
+def eng_nf(ring, basis_vec, poly):
+    eng = GroebnerEngine(ring)
+    eng.seed([basis_vec])
+    return eng.normal_form(ideal_vec(ring, poly))
+
+
 @pytest.mark.parametrize("char", [0, 32003])
 def test_coefficients_leave_the_engine_in_field_form(char):
     ring = PolyRing(2, char, ("x", "y"))
@@ -467,10 +473,32 @@ def test_coefficients_leave_the_engine_in_field_form(char):
     eng.complete()
     nf = eng.normal_form(ideal_vec(ring, x * x.scaled(5) + y * y.scaled(7) + x))
     out = [nf, *gb, *eng.reduced_basis(), *kernel_vectors(f)]
+    # 2x + 3y is made monic as x + 3/2 y; reducing 2x and x by it leaves -3y
+    # (an integral result of fractional arithmetic) and -3/2 y
+    (monic,) = groebner(ring, [ideal_vec(ring, x.scaled(2) + y.scaled(3))])
+    two_x = eng_nf(ring, monic, x.scaled(2))
+    one_x = eng_nf(ring, monic, x)
+    out += [monic, two_x, one_x]
     coeffs = [c for v in out for c in v.terms.values()]
     assert coeffs
     for c in coeffs:
         if char:
             assert type(c) is int and 0 <= c < char
         else:
-            assert type(c) is Fraction
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    X0, Y0 = (0, (1, 0)), (0, (0, 1))
+    gen = {X0: Fraction(2), Y0: Fraction(3)}
+    want = {t: c / gen[X0] for t, c in gen.items()}
+    want_two_x = {Y0: -2 * want[Y0]}
+    want_one_x = {Y0: -want[Y0]}
+    if char:
+        want, want_two_x, want_one_x = (
+            {t: c.numerator * pow(c.denominator, -1, char) % char for t, c in w.items()}
+            for w in (want, want_two_x, want_one_x)
+        )
+    assert monic.terms == want
+    assert two_x.terms == want_two_x
+    assert one_x.terms == want_one_x
+    if not char:
+        assert [type(monic.terms[X0]), type(monic.terms[Y0])] == [int, Fraction]
+        assert type(two_x.terms[Y0]) is int and type(one_x.terms[Y0]) is Fraction
