@@ -5,15 +5,13 @@ default, JSON with --json (byte-identical across runs for the same
 parameters and seed; wall time is only shown in the text output for that
 reason).  Exit code 0 means every case passed, 1 signals a mathematical
 failure, 2 a usage error.  Partitions are written as comma-separated parts
-with the literal "0" for the empty partition; DETVAR_SEED overrides the
-default seed for randomized checks.
+with the literal "0" for the empty partition.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -56,16 +54,6 @@ class UsageError(Exception):
     pass
 
 
-def env_seed() -> int:
-    raw = os.environ.get("DETVAR_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"DETVAR_SEED must be an integer, got {raw!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="detlab",
@@ -82,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tmax:
             sp.add_argument("--tmax", type=int, default=3)
         if seed:
-            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = sub.add_parser("partitions", help="enumerate partitions in a box")
     sp.add_argument("--u", type=int, required=True)
@@ -415,9 +403,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.time()
     try:
-        seed = getattr(args, "seed", None)
-        if seed is None:
-            seed = env_seed()
+        seed = getattr(args, "seed", DEFAULT_SEED)
         parameters, char, cases, passed = handle(args, seed)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
