@@ -1,17 +1,22 @@
+import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from detlab.cli import build_parser
 from detlab.detvar import DEFAULT_SEED
 
 CMD = [sys.executable, "-m", "detlab"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 FROZEN_REPORTS = Path(__file__).resolve().parent / "data" / "frozen_reports.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 # keys "detlab <arguments>" hold the whole --json report of that command line
 FROZEN_COMMANDS = [
     key for key in json.loads(FROZEN_REPORTS.read_text()) if key.startswith("detlab ")
@@ -78,6 +83,164 @@ def test_seed_env_is_ignored():
     assert json.loads(r.stdout)["seed"] == DEFAULT_SEED
 
 
+def subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# every option of every subcommand, as (option strings, type, default,
+# required, choices); --help is argparse's own and is left out
+OPTION_TABLE = {
+    "partitions": {
+        ("--json", None, False, False, None),
+        ("--u", "int", None, True, None),
+        ("--v", "int", None, True, None),
+    },
+    "lr": {
+        ("--a", "str", None, True, None),
+        ("--b", "str", None, True, None),
+        ("--json", None, False, False, None),
+    },
+    "bott": {
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--x", "str", None, True, None),
+        ("--y", "str", None, True, None),
+    },
+    "check-prop31": {
+        ("--alpha", "str", None, False, None),
+        ("--delta", "str", None, False, None),
+        ("--delta-max", "int", 6, False, None),
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+    },
+    "check-tilt-grass": {
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+    },
+    "check-tilt-springer": {
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+        ("--tmax", "int", 3, False, None),
+    },
+    "check-dualizing": {
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+        ("--tmax", "int", 3, False, None),
+    },
+    "check-fm": {
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+        ("--tmax", "int", 3, False, None),
+    },
+    "build-talpha": {
+        ("--alpha", "str", None, True, None),
+        ("--char", "int", 0, False, None),
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+    },
+    "resolve": {
+        ("--alpha", "str", None, True, None),
+        ("--char", "int", 0, False, None),
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+    },
+    "check-mcm": {
+        ("--alpha", "str", None, False, None),
+        ("--char", "int", 0, False, None),
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+    },
+    "check-end-mcm": {
+        ("--char", "int", 0, False, None),
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+    },
+    "check-flip": {
+        ("--char", "int", 0, False, None),
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+    },
+    "check-end-dual": {
+        ("--char", "int", 0, False, None),
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+    },
+    "check-rank": {
+        ("--alpha", "str", None, True, None),
+        ("--char", "int", 0, False, None),
+        ("--json", None, False, False, None),
+        ("--l", "int", None, True, None),
+        ("--m", "int", None, True, None),
+        ("--n", "int", None, True, None),
+        ("--seed", "int", 20240611, False, None),
+        ("--trials", "int", 5, False, None),
+    },
+    "suite": {
+        ("--inject-corruption", None, False, False, None),
+        ("--json", None, False, False, None),
+        ("--profile", None, "quick", False, ("quick", "full")),
+        ("--seed", "int", 20240611, False, None),
+    },
+}
+
+
+def test_option_table_is_frozen():
+    # adding, dropping or renaming a knob, or changing its type, default or
+    # choices, must be a deliberate edit of this table
+    got = {
+        name: {
+            (
+                " ".join(a.option_strings),
+                a.type.__name__ if a.type else None,
+                a.default,
+                a.required,
+                tuple(a.choices) if a.choices else None,
+            )
+            for a in sp._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, sp in subparsers(build_parser()).items()
+    }
+    assert got == OPTION_TABLE
+
+
+def readme_command_lines() -> list[list[str]]:
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
+
+
+def test_readme_commands_parse():
+    # every documented command line parses, and every subcommand is documented
+    parser = build_parser()
+    seen = set()
+    for words in readme_command_lines():
+        assert words[0] == "detlab"
+        seen.add(parser.parse_args(words[1:]).subcommand)
+    assert seen == set(subparsers(parser))
+
+
 def test_usage_errors_exit_two():
     assert run("check-mcm", "--m", "2").returncode == 2
     assert run("no-such-subcommand").returncode == 2
@@ -129,8 +292,9 @@ def test_json_reports_are_frozen(command):
 # SHA-256 of the whole --json stdout of the bench-scale Bott checks, of a
 # dualizing check with a nonzero twist (n > m), of the (4, 8) tilting check,
 # of two presentation dumps with char-0 coefficient strings and of a char-0
-# resolution; the reports themselves (up to 1.1 MB each) are too large to
-# keep in the repo
+# resolution (the reports themselves, up to 1.1 MB each, are too large to
+# keep in the repo), and of one report of each subcommand that no frozen
+# report covers, in char 0 and over F_32003 where it takes --char
 FROZEN_DIGESTS = {
     "build-talpha --m 3 --n 3 --l 1 --alpha 2":
         "d111a84f84047416c5aa913470debc237e99e9474e2163794c3de7f40b333243",
@@ -148,6 +312,24 @@ FROZEN_DIGESTS = {
         "3106009fc1754646abbda5a465530296ff31ebbfaae33147ebb4e58a7e2cba96",
     "check-tilt-grass --l 4 --m 8":
         "184e2dd82ffedc42ee9916fc13f567d3d29bb8dbf7530bb079e43258c7d8d2e9",
+    "check-mcm --m 3 --n 4 --l 2":
+        "3d5e0cf0bb713d93d23840ed0821f0c65e50c2f19a9437232645ab30939302f3",
+    "check-mcm --m 2 --n 4 --l 1 --char 32003":
+        "b8bea55a86a46d08ee3661b87077378a48cac3914a2f1dcc8f1399b822dbf28c",
+    "check-end-mcm --m 3 --n 3 --l 1":
+        "cc8fb84fc4da1fa6ca60f39f6d680d73f8a43b64e09092da053a9c33c00ab1db",
+    "check-end-mcm --m 2 --n 3 --l 1 --char 32003":
+        "bb6049f612c7fe5852e0e6f8e7a81bc1007b47e03faf23144f6f7a6fb93d4f1a",
+    "check-rank --m 3 --n 4 --l 2 --alpha 1,1":
+        "64c2c428ca79e9553ee78b398ad0e790fb9e5cd2118116f9889b720f9c4ce8a9",
+    "check-rank --m 3 --n 3 --l 2 --alpha 1 --char 32003 --trials 2 --seed 5":
+        "8906cec7d6ea2d1ec17c0cbeb76fb023fb0c0473ffaa22244e166352457f2aad",
+    "lr --a 3,2,1 --b 2,1":
+        "b504dc37c270a291f716fea6eba954b94dce4844d5c412b82944936b1bf42919",
+    "partitions --u 3 --v 3":
+        "b8e86f8d5939b9ae7e66eb470dac3580650c02f23d8a2be4b1157207c76a59ac",
+    "bott --l 2 --m 5 --x 1,-1 --y 2,0,-3":
+        "f0920349cd85f42abd3fbd207b948f2c8a665be22bcfd009cc142a3bc4e50e8c",
 }
 
 
