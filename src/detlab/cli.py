@@ -6,14 +6,20 @@ parameters and seed; wall time is only shown in the text output for that
 reason).  Exit code 0 means every case passed, 1 signals a mathematical
 failure, 2 a usage error.  Partitions are written as comma-separated parts
 with the literal "0" for the empty partition.
+
+Each subcommand is declared once in `build_parser`, with its handler as the
+`run` default that `main` calls; the subcommands on one determinantal setup
+share --m --n --l --char through `_on_setup`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from functools import partial
 
 from . import __version__, bott, suite
 from .commalg import free_resolution, presentation_to_json
@@ -54,6 +60,169 @@ class UsageError(Exception):
     pass
 
 
+# ---------------------------------------------------------------------------
+# Handlers: each returns (parameters, char, cases, passed), except that a
+# setup handler gets the setup and leaves m, n, l and char to _on_setup
+
+
+def _partitions(args):
+    box = enumerate_box(args.u, args.v)
+    cases = [{"partition": list(p.parts)} for p in box]
+    ok = len(box) == math.comb(args.u + args.v, args.u)
+    return {"u": args.u, "v": args.v, "count": len(box)}, 0, cases, ok
+
+
+def _lr(args):
+    a, b = parse_shape(args.a), parse_shape(args.b)
+    coeffs = lr_coefficients(a, b)
+    cases = [
+        {"gamma": list(g.parts), "coefficient": c}
+        for g, c in sorted(coeffs.items(), key=lambda t: t[0].parts)
+    ]
+    ok = all(g.size == a.size + b.size for g in coeffs)
+    return {"a": list(a.parts), "b": list(b.parts)}, 0, cases, ok
+
+
+def _bott(args):
+    x, y = parse_weight(args.x), parse_weight(args.y)
+    table = bott.bott_cohomology(args.l, args.m, x, y)
+    cases = [
+        {
+            "degree": deg,
+            "weights": [
+                {"weight": list(w), "multiplicity": mult}
+                for w, mult in sorted(table.entries[deg].items())
+            ],
+            "dimension": table.dim(deg),
+        }
+        for deg in sorted(table.entries)
+    ]
+    return (
+        {"l": args.l, "m": args.m, "x": list(x), "y": list(y)},
+        0,
+        cases,
+        True,
+    )
+
+
+def _check_prop31(args):
+    alphas = (
+        [parse_shape(args.alpha)]
+        if args.alpha is not None
+        else list(enumerate_box(args.l, args.m - args.l))
+    )
+    deltas = (
+        [parse_shape(args.delta)]
+        if args.delta is not None
+        else all_partitions(args.delta_max, max_rows=args.l)
+    )
+    cases = []
+    for alpha in alphas:
+        for delta in deltas:
+            rep = bott.check_hom_vanishing(args.l, args.m, alpha, delta)
+            cases.extend(c.to_json() for c in rep.cases)
+    return (
+        {"l": args.l, "m": args.m, "delta_max": args.delta_max},
+        0,
+        cases,
+        all(c["pass"] for c in cases),
+    )
+
+
+def _bott_check(check, fields, args):
+    """A Bott checker called with the options named in fields, in order."""
+    rep = check(*(getattr(args, f) for f in fields))
+    return rep.parameters, 0, [c.to_json() for c in rep.cases], rep.passed
+
+
+def _on_setup(check, args):
+    """Build the setup from --m --n --l --char and hand it to check, which
+    returns (parameters after m, n, l; cases; passed)."""
+    setup = generic_setup(args.m, args.n, args.l, char=args.char)
+    parameters, cases, passed = check(args, setup)
+    return {"m": args.m, "n": args.n, "l": args.l, **parameters}, args.char, cases, passed
+
+
+def _build_talpha(args, setup):
+    mod = wedge_module(setup, parse_shape(args.alpha))
+    case = {
+        "shape": list(mod.shape.parts),
+        "generators": mod.presentation.generators.rank,
+        "relations": len(mod.presentation.relation_vectors),
+        "presentation": presentation_to_json(mod.presentation),
+    }
+    return {"alpha": list(mod.shape.parts)}, [case], True
+
+
+def _resolve(args, setup):
+    mod = wedge_module(setup, parse_shape(args.alpha))
+    res = free_resolution(mod.presentation)
+    betti = [
+        {"index": i, "degree": d, "rank": r}
+        for (i, d), r in sorted(res.betti().items())
+    ]
+    case = {
+        "shape": list(mod.shape.parts),
+        "pd": res.length,
+        "betti_ranks": res.betti_ranks(),
+        "betti": betti,
+    }
+    return {"alpha": list(mod.shape.parts)}, [case], True
+
+
+def _check_mcm(args, setup):
+    shapes = [parse_shape(args.alpha)] if args.alpha is not None else setup.box()
+    cases = []
+    for shape in shapes:
+        mod = wedge_module(setup, shape)
+        cert = certify_mcm(mod.presentation, setup, shape)
+        cases.append(cert.to_json())
+    return {}, cases, all(c["pass"] for c in cases)
+
+
+def _check_end_mcm(args, setup):
+    certs = certify_end_mcm(endomorphism_ring(setup))
+    cases = [
+        {
+            "alpha": list(a),
+            "beta": list(b),
+            **cert.to_json(),
+        }
+        for (a, b), cert in sorted(certs.items())
+    ]
+    return {}, cases, all(c["pass"] for c in cases)
+
+
+def _check_flip(args, setup):
+    rep = check_flip(setup)
+    return {}, [s.to_json() for s in rep.summands], rep.passed
+
+
+def _check_end_dual(args, setup):
+    rep = check_end_dual(setup)
+    return {}, [rep.to_json()], rep.passed
+
+
+def _check_rank(args, setup):
+    mod = wedge_module(setup, parse_shape(args.alpha))
+    result = rank_check(mod, trials=args.trials, seed=args.seed)
+    return (
+        {"alpha": list(mod.shape.parts), "trials": args.trials},
+        [result.to_json()],
+        result.passed,
+    )
+
+
+def _suite(args):
+    result = suite.run_suite(args.profile, args.inject_corruption, args.seed)
+    return (
+        {"profile": args.profile, "inject_corruption": args.inject_corruption},
+        0,
+        result["cases"],
+        result["pass"],
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="detlab",
@@ -63,106 +232,81 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"detlab {__version__}")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, char=False, tmax=False, seed=False):
+    def command(name, helptext, run, *ints):
+        """Declare a subcommand: a required int option per name in ints,
+        --json, and run as its handler."""
+        sp = sub.add_parser(name, help=helptext)
+        for option in ints:
+            sp.add_argument(f"--{option}", type=int, required=True)
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        if char:
-            sp.add_argument("--char", type=int, default=0, help="0 or a prime")
-        if tmax:
-            sp.add_argument("--tmax", type=int, default=3)
-        if seed:
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.set_defaults(run=run)
+        return sp
 
-    sp = sub.add_parser("partitions", help="enumerate partitions in a box")
-    sp.add_argument("--u", type=int, required=True)
-    sp.add_argument("--v", type=int, required=True)
-    common(sp)
+    def setup_command(name, helptext, check):
+        """Declare a subcommand on one determinantal setup (see _on_setup)."""
+        sp = command(name, helptext, partial(_on_setup, check), "m", "n", "l")
+        sp.add_argument("--char", type=int, default=0, help="0 or a prime")
+        return sp
 
-    sp = sub.add_parser("lr", help="Littlewood-Richardson product")
+    command("partitions", "enumerate partitions in a box", _partitions, "u", "v")
+
+    sp = command("lr", "Littlewood-Richardson product", _lr)
     sp.add_argument("--a", type=str, required=True)
     sp.add_argument("--b", type=str, required=True)
-    common(sp)
 
-    sp = sub.add_parser("bott", help="cohomology of one pure weight term")
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
+    sp = command("bott", "cohomology of one pure weight term", _bott, "l", "m")
     sp.add_argument("--x", type=str, required=True, help="quotient-side weight")
     sp.add_argument("--y", type=str, required=True, help="sub-side weight")
-    common(sp)
 
-    sp = sub.add_parser(
-        "check-prop31", help="higher cohomology of dual box wedges against Schur bundles"
+    sp = command(
+        "check-prop31",
+        "higher cohomology of dual box wedges against Schur bundles",
+        _check_prop31,
+        "l",
+        "m",
     )
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--alpha", type=str, default=None)
     sp.add_argument("--delta", type=str, default=None)
     sp.add_argument("--delta-max", type=int, default=6)
-    common(sp)
 
-    sp = sub.add_parser("check-tilt-grass", help="pairwise ext-vanishing on the Grassmannian")
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    common(sp)
+    command(
+        "check-tilt-grass",
+        "pairwise ext-vanishing on the Grassmannian",
+        partial(_bott_check, bott.check_tilting_grass, ("l", "m")),
+        "l",
+        "m",
+    )
 
-    for name, helptext in [
-        ("check-tilt-springer", "degreewise ext-vanishing on the resolution total space"),
-        ("check-dualizing", "degreewise vanishing against the dualizing twist"),
-        ("check-fm", "degreewise kernel-pushforward vanishing"),
+    for name, helptext, check in [
+        ("check-tilt-springer", "degreewise ext-vanishing on the resolution total space",
+         bott.check_tilting_springer),
+        ("check-dualizing", "degreewise vanishing against the dualizing twist",
+         bott.check_dualizing_vanishing),
+        ("check-fm", "degreewise kernel-pushforward vanishing", bott.check_fm_kernel),
     ]:
-        sp = sub.add_parser(name, help=helptext)
-        sp.add_argument("--l", type=int, required=True)
-        sp.add_argument("--m", type=int, required=True)
-        sp.add_argument("--n", type=int, required=True)
-        common(sp, tmax=True)
+        run = partial(_bott_check, check, ("l", "m", "n", "tmax"))
+        sp = command(name, helptext, run, "l", "m", "n")
+        sp.add_argument("--tmax", type=int, default=3)
 
-    sp = sub.add_parser("build-talpha", help="dump a wedge-image module presentation")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
+    sp = setup_command("build-talpha", "dump a wedge-image module presentation", _build_talpha)
     sp.add_argument("--alpha", type=str, required=True)
-    common(sp, char=True)
 
-    sp = sub.add_parser("resolve", help="minimal free resolution of a wedge-image module")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
+    sp = setup_command("resolve", "minimal free resolution of a wedge-image module", _resolve)
     sp.add_argument("--alpha", type=str, required=True)
-    common(sp, char=True)
 
-    sp = sub.add_parser("check-mcm", help="projective dimension equals codimension")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
+    sp = setup_command("check-mcm", "projective dimension equals codimension", _check_mcm)
     sp.add_argument("--alpha", type=str, default=None)
-    common(sp, char=True)
 
-    sp = sub.add_parser("check-end-mcm", help="blockwise endomorphism-ring MCM check")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    common(sp, char=True)
+    setup_command("check-end-mcm", "blockwise endomorphism-ring MCM check", _check_end_mcm)
+    setup_command("check-flip", "transpose-side summands are the duals", _check_flip)
+    setup_command("check-end-dual", "box-complement symmetry of End", _check_end_dual)
 
-    sp = sub.add_parser("check-flip", help="transpose-side summands are the duals")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    common(sp, char=True)
-
-    sp = sub.add_parser("check-end-dual", help="box-complement symmetry of End")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
-    common(sp, char=True)
-
-    sp = sub.add_parser("check-rank", help="random rank-l specialization oracle")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--l", type=int, required=True)
+    sp = setup_command("check-rank", "random rank-l specialization oracle", _check_rank)
     sp.add_argument("--alpha", type=str, required=True)
     sp.add_argument("--trials", type=int, default=5)
-    common(sp, char=True, seed=True)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    sp = sub.add_parser("suite", help="aggregate verification grid")
+    sp = command("suite", "aggregate verification grid", _suite)
     sp.add_argument("--profile", choices=["quick", "full"], default="quick")
     sp.add_argument(
         "--inject-corruption",
@@ -170,215 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="negative-control fixture: corrupt a module relation so the "
         "suite must fail with exit code 1",
     )
-    common(sp, seed=True)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return p
-
-
-# ---------------------------------------------------------------------------
-# Handlers: each returns (parameters, char, cases, passed)
-
-
-def _from_check_report(rep: bott.CheckReport):
-    return rep.parameters, 0, [c.to_json() for c in rep.cases], rep.passed
-
-
-def handle(args, seed: int) -> tuple[dict, int, list[dict], bool]:
-    sc = args.subcommand
-
-    if sc == "partitions":
-        box = enumerate_box(args.u, args.v)
-        cases = [{"partition": list(p.parts)} for p in box]
-        import math
-
-        ok = len(box) == math.comb(args.u + args.v, args.u)
-        return {"u": args.u, "v": args.v, "count": len(box)}, 0, cases, ok
-
-    if sc == "lr":
-        a, b = parse_shape(args.a), parse_shape(args.b)
-        coeffs = lr_coefficients(a, b)
-        cases = [
-            {"gamma": list(g.parts), "coefficient": c}
-            for g, c in sorted(coeffs.items(), key=lambda t: t[0].parts)
-        ]
-        ok = all(g.size == a.size + b.size for g in coeffs)
-        return {"a": list(a.parts), "b": list(b.parts)}, 0, cases, ok
-
-    if sc == "bott":
-        x, y = parse_weight(args.x), parse_weight(args.y)
-        table = bott.bott_cohomology(args.l, args.m, x, y)
-        cases = [
-            {
-                "degree": deg,
-                "weights": [
-                    {"weight": list(w), "multiplicity": mult}
-                    for w, mult in sorted(table.entries[deg].items())
-                ],
-                "dimension": table.dim(deg),
-            }
-            for deg in sorted(table.entries)
-        ]
-        return (
-            {"l": args.l, "m": args.m, "x": list(x), "y": list(y)},
-            0,
-            cases,
-            True,
-        )
-
-    if sc == "check-prop31":
-        alphas = (
-            [parse_shape(args.alpha)]
-            if args.alpha is not None
-            else list(enumerate_box(args.l, args.m - args.l))
-        )
-        deltas = (
-            [parse_shape(args.delta)]
-            if args.delta is not None
-            else all_partitions(args.delta_max, max_rows=args.l)
-        )
-        cases = []
-        for alpha in alphas:
-            for delta in deltas:
-                rep = bott.check_hom_vanishing(args.l, args.m, alpha, delta)
-                cases.extend(c.to_json() for c in rep.cases)
-        return (
-            {"l": args.l, "m": args.m, "delta_max": args.delta_max},
-            0,
-            cases,
-            all(c["pass"] for c in cases),
-        )
-
-    if sc == "check-tilt-grass":
-        return _from_check_report(bott.check_tilting_grass(args.l, args.m))
-    if sc == "check-tilt-springer":
-        return _from_check_report(
-            bott.check_tilting_springer(args.l, args.m, args.n, args.tmax)
-        )
-    if sc == "check-dualizing":
-        return _from_check_report(
-            bott.check_dualizing_vanishing(args.l, args.m, args.n, args.tmax)
-        )
-    if sc == "check-fm":
-        return _from_check_report(bott.check_fm_kernel(args.l, args.m, args.n, args.tmax))
-
-    if sc == "build-talpha":
-        setup = generic_setup(args.m, args.n, args.l, char=args.char)
-        mod = wedge_module(setup, parse_shape(args.alpha))
-        case = {
-            "shape": list(mod.shape.parts),
-            "generators": mod.presentation.generators.rank,
-            "relations": len(mod.presentation.relation_vectors),
-            "presentation": presentation_to_json(mod.presentation),
-        }
-        return (
-            {"m": args.m, "n": args.n, "l": args.l, "alpha": list(mod.shape.parts)},
-            args.char,
-            [case],
-            True,
-        )
-
-    if sc == "resolve":
-        setup = generic_setup(args.m, args.n, args.l, char=args.char)
-        mod = wedge_module(setup, parse_shape(args.alpha))
-        res = free_resolution(mod.presentation)
-        betti = [
-            {"index": i, "degree": d, "rank": r}
-            for (i, d), r in sorted(res.betti().items())
-        ]
-        case = {
-            "shape": list(mod.shape.parts),
-            "pd": res.length,
-            "betti_ranks": res.betti_ranks(),
-            "betti": betti,
-        }
-        return (
-            {"m": args.m, "n": args.n, "l": args.l, "alpha": list(mod.shape.parts)},
-            args.char,
-            [case],
-            True,
-        )
-
-    if sc == "check-mcm":
-        setup = generic_setup(args.m, args.n, args.l, char=args.char)
-        shapes = (
-            [parse_shape(args.alpha)] if args.alpha is not None else setup.box()
-        )
-        cases = []
-        for shape in shapes:
-            mod = wedge_module(setup, shape)
-            cert = certify_mcm(mod.presentation, setup, shape)
-            cases.append(cert.to_json())
-        return (
-            {"m": args.m, "n": args.n, "l": args.l},
-            args.char,
-            cases,
-            all(c["pass"] for c in cases),
-        )
-
-    if sc == "check-end-mcm":
-        setup = generic_setup(args.m, args.n, args.l, char=args.char)
-        certs = certify_end_mcm(endomorphism_ring(setup))
-        cases = [
-            {
-                "alpha": list(a),
-                "beta": list(b),
-                **cert.to_json(),
-            }
-            for (a, b), cert in sorted(certs.items())
-        ]
-        return (
-            {"m": args.m, "n": args.n, "l": args.l},
-            args.char,
-            cases,
-            all(c["pass"] for c in cases),
-        )
-
-    if sc == "check-flip":
-        setup = generic_setup(args.m, args.n, args.l, char=args.char)
-        rep = check_flip(setup)
-        return (
-            {"m": args.m, "n": args.n, "l": args.l},
-            args.char,
-            [s.to_json() for s in rep.summands],
-            rep.passed,
-        )
-
-    if sc == "check-end-dual":
-        setup = generic_setup(args.m, args.n, args.l, char=args.char)
-        rep = check_end_dual(setup)
-        return (
-            {"m": args.m, "n": args.n, "l": args.l},
-            args.char,
-            [rep.to_json()],
-            rep.passed,
-        )
-
-    if sc == "check-rank":
-        setup = generic_setup(args.m, args.n, args.l, char=args.char)
-        mod = wedge_module(setup, parse_shape(args.alpha))
-        result = rank_check(mod, trials=args.trials, seed=seed)
-        return (
-            {
-                "m": args.m,
-                "n": args.n,
-                "l": args.l,
-                "alpha": list(mod.shape.parts),
-                "trials": args.trials,
-            },
-            args.char,
-            [result.to_json()],
-            result.passed,
-        )
-
-    if sc == "suite":
-        result = suite.run_suite(args.profile, args.inject_corruption, seed)
-        return (
-            {"profile": args.profile, "inject_corruption": args.inject_corruption},
-            0,
-            result["cases"],
-            result["pass"],
-        )
-
-    raise UsageError(f"unknown subcommand {sc!r}")
 
 
 def render_text(report: dict, elapsed: float) -> str:
@@ -399,12 +336,10 @@ def render_text(report: dict, elapsed: float) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.time()
     try:
-        seed = getattr(args, "seed", DEFAULT_SEED)
-        parameters, char, cases, passed = handle(args, seed)
+        parameters, char, cases, passed = args.run(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -415,7 +350,7 @@ def main(argv=None) -> int:
         "subcommand": args.subcommand,
         "parameters": parameters,
         "char": char,
-        "seed": seed,
+        "seed": getattr(args, "seed", DEFAULT_SEED),
         "cases": cases,
         "pass": passed,
     }
