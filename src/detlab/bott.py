@@ -201,6 +201,8 @@ def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
 def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
     """Higher cohomology of (wedge^{alpha'}Q)^dual x L_delta(Q) vanishes,
     for alpha in the l x (m-l) box and any shape delta with <= l rows."""
+    if not 1 <= l < m:
+        raise ValueError("need 1 <= l < m")
     alpha, delta = Partition.of(alpha), Partition.of(delta)
     if not alpha.fits_in_box(l, m - l):
         raise ValueError(f"{alpha.parts} does not fit in the {l} x {m - l} box")

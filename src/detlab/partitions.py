@@ -157,6 +157,8 @@ def straighten(v) -> tuple[int, tuple[int, ...]] | None:
 
 def all_partitions(max_size: int, max_rows: int | None = None) -> list[Partition]:
     """Every partition of size at most max_size (optionally bounded rows)."""
+    if max_size < 0:
+        raise ValueError(f"need max_size >= 0, got {max_size}")
     out = [Partition()]
     for total in range(1, max_size + 1):
 

@@ -188,6 +188,10 @@ def test_hom_vanishing_rejects_bad_input():
         check_hom_vanishing(2, 4, (3, 1), ())  # alpha outside the box
     with pytest.raises(ValueError):
         check_hom_vanishing(2, 4, (2, 2), (1, 1, 1))  # delta too tall
+    with pytest.raises(ValueError):
+        check_hom_vanishing(0, 3, (), ())  # l = 0
+    with pytest.raises(ValueError):
+        check_hom_vanishing(2, 2, (), (1,))  # l = m
 
 
 def test_checker_cases_go_through_cohomology_of(monkeypatch):

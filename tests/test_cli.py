@@ -254,6 +254,7 @@ def test_empty_checks_are_usage_errors():
     for args in (
         ("check-fm", "--l", "1", "--m", "2", "--n", "2", "--tmax", "-1"),
         ("check-rank", "--m", "2", "--n", "2", "--l", "1", "--alpha", "1", "--trials", "0"),
+        ("check-prop31", "--l", "2", "--m", "4", "--delta-max", "-1"),
     ):
         r = run(*args, "--json")
         assert r.returncode == 2
@@ -263,12 +264,18 @@ def test_empty_checks_are_usage_errors():
 
 
 def test_l_zero_is_usage_error():
-    # l = 0 has an empty box; the setup rejects it before any checker runs
-    r = run("build-talpha", "--m", "2", "--n", "3", "--l", "0", "--alpha", "0", "--json")
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: ")
+    # l = 0 has an empty box; the setup rejects it before any checker runs,
+    # and the Grassmannian checks reject l outside 1 <= l < m
+    for args in (
+        ("build-talpha", "--m", "2", "--n", "3", "--l", "0", "--alpha", "0"),
+        ("check-prop31", "--l", "0", "--m", "3", "--alpha", "0", "--delta", "0"),
+        ("check-prop31", "--l", "2", "--m", "2", "--alpha", "0", "--delta", "1"),
+    ):
+        r = run(*args, "--json")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: ")
 
 
 def test_check_rank_over_f2_returns():
