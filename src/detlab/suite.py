@@ -187,16 +187,12 @@ def rank_cases(grid=MCM_GRID, seeds: int = 5, base_seed: int = DEFAULT_SEED) -> 
     for m, n, l in grid:
         setup = generic_setup(m, n, l)
         for alpha in setup.box():
-            mod = wedge_module(setup, alpha)
-            results = [
-                rank_check(mod, trials=1, seed=base_seed + k) for k in range(seeds)
-            ]
-            ok = all(r.passed for r in results)
+            result = rank_check(wedge_module(setup, alpha), trials=seeds, seed=base_seed)
             out.append(
                 _case(
                     f"rank m={m} n={n} l={l} alpha={list(alpha.parts)}",
-                    ok,
-                    predicted=results[0].predicted,
+                    result.passed,
+                    predicted=result.predicted,
                     seeds=seeds,
                 )
             )
