@@ -106,27 +106,26 @@ def _bott(args):
 
 
 def _check_prop31(args):
-    alphas = (
-        [parse_shape(args.alpha)]
-        if args.alpha is not None
-        else list(enumerate_box(args.l, args.m - args.l))
-    )
-    deltas = (
-        [parse_shape(args.delta)]
-        if args.delta is not None
-        else all_partitions(args.delta_max, max_rows=args.l)
-    )
+    """The parameters name --alpha and --delta when given, and --delta-max
+    only when the deltas are enumerated."""
+    parameters = {"l": args.l, "m": args.m}
+    if args.alpha is not None:
+        alphas = [parse_shape(args.alpha)]
+        parameters["alpha"] = list(alphas[0].parts)
+    else:
+        alphas = list(enumerate_box(args.l, args.m - args.l))
+    if args.delta is not None:
+        deltas = [parse_shape(args.delta)]
+        parameters["delta"] = list(deltas[0].parts)
+    else:
+        deltas = all_partitions(args.delta_max, max_rows=args.l)
+        parameters["delta_max"] = args.delta_max
     cases = []
     for alpha in alphas:
         for delta in deltas:
             rep = bott.check_hom_vanishing(args.l, args.m, alpha, delta)
             cases.extend(c.to_json() for c in rep.cases)
-    return (
-        {"l": args.l, "m": args.m, "delta_max": args.delta_max},
-        0,
-        cases,
-        all(c["pass"] for c in cases),
-    )
+    return parameters, 0, cases, all(c["pass"] for c in cases)
 
 
 def _bott_check(check, fields, args):
@@ -171,13 +170,18 @@ def _resolve(args, setup):
 
 
 def _check_mcm(args, setup):
-    shapes = [parse_shape(args.alpha)] if args.alpha is not None else setup.box()
+    parameters = {}
+    if args.alpha is not None:
+        shapes = [parse_shape(args.alpha)]
+        parameters["alpha"] = list(shapes[0].parts)
+    else:
+        shapes = setup.box()
     cases = []
     for shape in shapes:
         mod = wedge_module(setup, shape)
         cert = certify_mcm(mod.presentation, setup, shape)
         cases.append(cert.to_json())
-    return {}, cases, all(c["pass"] for c in cases)
+    return parameters, cases, all(c["pass"] for c in cases)
 
 
 def _check_end_mcm(args, setup):

@@ -27,8 +27,10 @@ instead of carrying into the next field, both where terms enter and where a
 multiplication could leave the range.  `Vector`, `grevlex_key` and everything
 this module returns keep the tuple form `(pos, mono)`.
 
-Coefficients are in `PolyRing`'s format; `_vector`, the engine's one exit,
-turns an integral `Fraction` that reduction can leave back into an int.
+Coefficients are in `PolyRing`'s format.  The reduction loops are the one
+place that does not sum and then normalize through `PolyRing.coeff`: they
+reduce mod p inline, and `_vector`, the engine's one exit, turns an integral
+`Fraction` that characteristic-zero reduction can leave back into an int.
 
 Pair management follows Gebauer-Moller.  The coprime (product) criterion is
 only applied when both elements are supported in a single position, where the
@@ -198,7 +200,7 @@ class GroebnerEngine:
                 terms = {t: v // c for t, v in terms.items()}
             else:
                 inv = ring.coeff_inv(c)
-                terms = {t: ring.coeff_mul(v, inv) for t, v in terms.items()}
+                terms = {t: ring.coeff(v * inv) for t, v in terms.items()}
         if next(iter(terms)) != lead:
             terms = {lead: terms[lead], **terms}
         return terms

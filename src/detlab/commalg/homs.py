@@ -167,14 +167,11 @@ def matrix_rank(ring: PolyRing, mat) -> int:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         inv = ring.coeff_inv(mat[r][c])
-        mat[r] = [ring.coeff_mul(x, inv) for x in mat[r]]
+        mat[r] = [ring.coeff(x * inv) for x in mat[r]]
         for i in range(rows):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [
-                    ring.coeff_add(x, ring.coeff_neg(ring.coeff_mul(f, y)))
-                    for x, y in zip(mat[i], mat[r])
-                ]
+                mat[i] = [ring.coeff(x - f * y) for x, y in zip(mat[i], mat[r])]
         r += 1
         rank += 1
         if r == rows:

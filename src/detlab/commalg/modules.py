@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .rings import Polynomial, PolyRing
+from .rings import Polynomial, PolyRing, Terms
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,10 @@ class FreeModule:
         return Vector(self.ring, {})
 
 
-class Vector:
+class Vector(Terms):
     """Element of a free module: dict from (position, exponent tuple) to coeff."""
 
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: PolyRing, terms: dict):
-        self.ring = ring
-        self.terms = terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
     def component(self, pos: int) -> Polynomial:
         return Polynomial(
@@ -56,36 +49,13 @@ class Vector:
             raise ValueError(f"vector is not homogeneous: degrees {sorted(degs)}")
         return degs.pop() if degs else 0
 
-    def __add__(self, other: "Vector") -> "Vector":
-        ring = self.ring
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            s = ring.coeff_add(out.get(t, 0), c)
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-        return Vector(ring, out)
-
-    def __neg__(self) -> "Vector":
-        ring = self.ring
-        return Vector(ring, {t: ring.coeff_neg(c) for t, c in self.terms.items()})
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        return self + (-other)
-
     def poly_scaled(self, p: Polynomial) -> "Vector":
-        ring = self.ring
-        out: dict = {}
+        acc: dict = {}
         for (pos, m1), c1 in self.terms.items():
             for m2, c2 in p.terms.items():
-                t = (pos, tuple(a + b for a, b in zip(m1, m2)))
-                s = ring.coeff_add(out.get(t, 0), ring.coeff_mul(c1, c2))
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
-        return Vector(ring, out)
+                t = (pos, tuple(map(add, m1, m2)))
+                acc[t] = acc.get(t, 0) + c1 * c2
+        return Vector(self.ring, self.ring.coeffs(acc))
 
     def shifted_positions(self, offset: int) -> "Vector":
         return Vector(self.ring, {(p + offset, m): c for (p, m), c in self.terms.items()})
@@ -95,9 +65,6 @@ class Vector:
             self.ring,
             {(p + offset, m): c for (p, m), c in self.terms.items() if lo <= p < hi},
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.terms == other.terms
 
     def __repr__(self):
         return f"Vector({dict(sorted(self.terms.items()))})"
@@ -140,10 +107,11 @@ class ModuleMap:
         ]
 
     def apply(self, v: Vector) -> Vector:
-        """Image of `v`, summed in one dict of plain sums and products; each
-        sum becomes a ring coefficient (reduced mod p, or an int when
-        integral) only when the result `Vector` is built, where zero terms
-        are dropped."""
+        """Image of `v`: the products of its terms with the columns' terms
+        are added as plain sums in one dict, and each sum becomes a ring
+        coefficient once, zeros dropped, through `PolyRing.coeffs`.  That is
+        the one arithmetic idiom outside the Groebner engine's reduction
+        loops (see `rings`)."""
         ring = self.source.ring
         acc: dict = {}
         get = acc.get
@@ -151,8 +119,7 @@ class ModuleMap:
             for (p, m1), c1 in self.columns[pos].terms.items():
                 t = (p, tuple(map(add, m1, m2)))
                 acc[t] = get(t, 0) + c1 * c2
-        coeff = ring.coeff
-        return Vector(ring, {t: c for t, s in acc.items() if (c := coeff(s))})
+        return Vector(ring, ring.coeffs(acc))
 
     def compose(self, inner: "ModuleMap") -> "ModuleMap":
         """self o inner (inner applied first)."""
@@ -174,16 +141,12 @@ class ModuleMap:
         cols = []
         for c1 in self.columns:
             for c2 in other.columns:
-                terms: dict = {}
+                acc: dict = {}
                 for (p1, m1), v1 in c1.terms.items():
                     for (p2, m2), v2 in c2.terms.items():
-                        t = (p1 * t2 + p2, tuple(a + b for a, b in zip(m1, m2)))
-                        s = ring.coeff_add(terms.get(t, 0), ring.coeff_mul(v1, v2))
-                        if s:
-                            terms[t] = s
-                        else:
-                            terms.pop(t, None)
-                cols.append(Vector(ring, terms))
+                        t = (p1 * t2 + p2, tuple(map(add, m1, m2)))
+                        acc[t] = acc.get(t, 0) + v1 * v2
+                cols.append(Vector(ring, ring.coeffs(acc)))
         return ModuleMap(src, tgt, cols)
 
     def is_zero(self) -> bool:

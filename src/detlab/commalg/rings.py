@@ -2,9 +2,11 @@
 
 Coefficients are ints reduced mod p over F_p.  In characteristic zero a
 coefficient is an int when its value is integral and a `fractions.Fraction`
-with denominator > 1 otherwise.  Only `PolyRing`'s coefficient operations and
-the Groebner engine's exit (through `integral`) produce that format; every
-other module stores and multiplies coefficients as it receives them.
+with denominator > 1 otherwise.  `PolyRing.coeff` is the one normalization
+into that format, and arithmetic has one idiom: add plain `+`/`*` results in
+one dict, then normalize each sum once, dropping zeros (`PolyRing.coeffs`).
+The one exception is the Groebner engine's reduction loops, which reduce mod
+p inline and normalize characteristic-zero sums at the engine's exit.
 Monomials are exponent tuples.  All variables sit in degree one.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 def integral(c):
@@ -51,20 +54,30 @@ class PolyRing:
 
     # -- coefficient field ---------------------------------------------------
     def coeff(self, value):
-        if self.char:
-            return int(value) % self.char
+        """`value` as a coefficient: the one normalization, applied once to
+        each plain sum (only the Groebner engine's reduction loops reduce
+        inline).  Takes an int, a `Fraction` or a string `Fraction` reads,
+        such as "3/2"; a float raises TypeError.  Over F_p, a/b is
+        a * b^-1 mod p, and ZeroDivisionError is raised when p divides b."""
+        p = self.char
         if type(value) is int:
-            return value
-        return integral(Fraction(value))
+            return value % p if p else value
+        if type(value) is not Fraction:
+            if isinstance(value, float):
+                raise TypeError(f"float coefficient {value!r}: use an int, a Fraction or a string")
+            value = Fraction(value)
+        if not p:
+            return integral(value)
+        if value.denominator % p == 0:
+            raise ZeroDivisionError(f"{value} has no value mod {p}")
+        return value.numerator * pow(value.denominator, p - 2, p) % p
 
-    def coeff_add(self, a, b):
-        return (a + b) % self.char if self.char else integral(a + b)
-
-    def coeff_mul(self, a, b):
-        return (a * b) % self.char if self.char else integral(a * b)
-
-    def coeff_neg(self, a):
-        return (-a) % self.char if self.char else -a
+    def coeffs(self, sums: dict) -> dict:
+        """The nonzero coefficients of a dict of plain `+`/`*` sums, each
+        normalized once by `coeff`: how every sum outside the Groebner
+        engine's reduction loops ends."""
+        coeff = self.coeff
+        return {k: c for k, s in sums.items() if (c := coeff(s))}
 
     def coeff_inv(self, a):
         if self.char:
@@ -101,8 +114,10 @@ class PolyRing:
         return Polynomial(self, {tuple(expo): c} if c else {})
 
 
-class Polynomial:
-    """Sparse polynomial: dict from exponent tuple to nonzero coefficient."""
+class Terms:
+    """Sparse dict from key to nonzero coefficient, with the sums that
+    `Polynomial` (monomial keys) and `Vector` ((position, monomial) keys)
+    share."""
 
     __slots__ = ("ring", "terms")
 
@@ -113,46 +128,39 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        ring = self.ring
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = ring.coeff_add(out.get(m, 0), c)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(ring, out)
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            acc[k] = acc.get(k, 0) + c
+        return type(self)(self.ring, self.ring.coeffs(acc))
 
-    def __neg__(self) -> "Polynomial":
-        ring = self.ring
-        return Polynomial(ring, {m: ring.coeff_neg(c) for m, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.ring, self.ring.coeffs({k: -c for k, c in self.terms.items()}))
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self, other):
         return self + (-other)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+
+class Polynomial(Terms):
+    """Sparse polynomial: dict from exponent tuple to nonzero coefficient."""
+
+    __slots__ = ()
+
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        ring = self.ring
-        out: dict = {}
+        acc: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = ring.coeff_add(out.get(m, 0), ring.coeff_mul(c1, c2))
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial(ring, out)
+                m = tuple(map(add, m1, m2))
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return Polynomial(self.ring, self.ring.coeffs(acc))
 
     def scaled(self, c) -> "Polynomial":
         ring = self.ring
         c = ring.coeff(c)
-        if not c:
-            return ring.zero()
-        return Polynomial(ring, {m: ring.coeff_mul(v, c) for m, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return Polynomial(ring, ring.coeffs({m: v * c for m, v in self.terms.items()}))
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -184,13 +192,12 @@ def poly_det(rows: list[list[Polynomial]]) -> Polynomial:
     ring = rows[0][0].ring
     if n == 1:
         return rows[0][0]
-    total = ring.zero()
-    for j in range(n):
-        entry = rows[0][j]
+    acc: dict = {}
+    for j, entry in enumerate(rows[0]):
         if entry.is_zero():
             continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        sub = poly_det(minor)
-        term = entry * sub
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+        sign = -1 if j % 2 else 1
+        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
+        for m, c in (entry * poly_det(minor)).terms.items():
+            acc[m] = acc.get(m, 0) + sign * c
+    return Polynomial(ring, ring.coeffs(acc))

@@ -63,6 +63,23 @@ def test_check_mcm_exit_zero():
     assert r.returncode == 0
     report = json.loads(r.stdout)
     assert report["cases"][0]["pd"] == 2
+    assert report["parameters"] == {"m": 2, "n": 3, "l": 1, "alpha": [1]}
+
+
+def test_prop31_parameters_name_the_options_that_ran():
+    """--alpha and --delta are recorded when given, --delta-max only when
+    the deltas are enumerated, so two different command lines never share
+    a header."""
+    base = ("check-prop31", "--l", "2", "--m", "4", "--alpha", "1")
+    got = [
+        json.loads(run(*base, *extra, "--json").stdout)["parameters"]
+        for extra in (("--delta", "1"), ("--delta", "2"), ("--delta-max", "2"))
+    ]
+    assert got == [
+        {"l": 2, "m": 4, "alpha": [1], "delta": [1]},
+        {"l": 2, "m": 4, "alpha": [1], "delta": [2]},
+        {"l": 2, "m": 4, "alpha": [1], "delta_max": 2},
+    ]
 
 
 def test_json_reports_are_byte_identical():

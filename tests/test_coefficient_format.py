@@ -1,8 +1,10 @@
-"""One module owns the characteristic-zero coefficient format (an int when
-integral, a `Fraction` with denominator > 1 otherwise): `commalg/rings.py`
-makes it, and the Groebner engine's exit normalizes through its `integral`.
-Every other module stores and multiplies coefficients as it receives them, so
-no other module may name `Fraction` or `integral`."""
+"""One module owns the coefficient format (an int in [0, p) over F_p; in
+characteristic zero an int when integral, a `Fraction` with denominator > 1
+otherwise): `commalg/rings.py` makes it, and the Groebner engine's exit
+normalizes through its `integral`.  Every other module stores and multiplies
+coefficients as it receives them, so no other module may name `Fraction` or
+`integral`, and only those two take a value mod the characteristic (the
+engine's reduction loops do it inline)."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "detlab"
 FRACTION_OWNERS = {"commalg/rings.py"}
 INTEGRAL_OWNERS = {"commalg/rings.py", "commalg/groebner.py"}
+MOD_CHAR_OWNERS = {"commalg/rings.py", "commalg/groebner.py"}
 
 
 def _named(node, name: str) -> bool:
@@ -44,6 +47,28 @@ def integral_references(tree) -> list[int]:
     return sorted(found)
 
 
+def mod_char_references(tree) -> list[int]:
+    """Lines with a `%` or `%=` whose right operand is `<expr>.char`, the
+    name `char`, or a name bound to one anywhere in the module
+    (`p = ring.char`)."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.NamedExpr, ast.AnnAssign)) and _named(node.value, "char"):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+
+    def is_char(right) -> bool:
+        return _named(right, "char") or (isinstance(right, ast.Name) and right.id in bound)
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Mod)
+        and is_char(node.right if isinstance(node, ast.BinOp) else node.value)
+    )
+
+
 def test_the_guards_see_a_second_format_owner():
     bad = ast.parse(
         "import fractions\n"
@@ -58,6 +83,22 @@ def test_the_guards_see_a_second_format_owner():
     )
     assert fraction_references(bad) == [1, 2, 4, 5]
     assert integral_references(bad) == [3, 6, 7]
+
+
+def test_the_guard_sees_a_second_mod_char_owner():
+    bad = ast.parse(
+        "p = ring.char\n"
+        "a = x % ring.char\n"
+        "b = (x * y) % p\n"
+        "c %= p\n"
+        "if (q := self.ring.char):\n"
+        "    d = -x % q\n"
+        "e = x % 7 + len(s) % n + p % 2\n"
+        "f = [v % char for v in vs]\n"
+        "# x % ring.char in a comment is fine\n"
+        "s = 'x % p'\n"
+    )
+    assert mod_char_references(bad) == [2, 3, 4, 6, 8]
 
 
 def _scan(check, owners: set[str]) -> tuple[list[str], set[str]]:
@@ -82,3 +123,9 @@ def test_only_rings_and_the_engine_exit_use_integral():
     found, seen = _scan(integral_references, INTEGRAL_OWNERS)
     assert found == []
     assert seen == INTEGRAL_OWNERS
+
+
+def test_only_rings_and_the_engine_take_values_mod_the_characteristic():
+    found, seen = _scan(mod_char_references, MOD_CHAR_OWNERS)
+    assert found == []
+    assert seen == MOD_CHAR_OWNERS

@@ -136,8 +136,8 @@ def naive_value(poly, point):
         val = c
         for x, e in zip(point, m):
             for _ in range(e):
-                val = ring.coeff_mul(val, x)
-        total = ring.coeff_add(total, val)
+                val = ring.coeff(val * x)
+        total = ring.coeff(total + val)
     return total
 
 

@@ -99,7 +99,7 @@ def test_perturbed_differential_fails_verify_complex():
         for delta in (Fraction(1, 2), Fraction(1)):
             col = d.columns[0]
             t = min(col.terms)
-            terms = {**col.terms, t: ring.coeff_add(col.terms[t], delta)}
+            terms = {**col.terms, t: ring.coeff(col.terms[t] + delta)}
             bumped = Vector(ring, {u: c for u, c in terms.items() if c})
             maps = list(res.maps)
             maps[k] = ModuleMap(d.source, d.target, [bumped, *d.columns[1:]])
@@ -196,7 +196,7 @@ def test_perturbed_syzygy_fails_under_optimize():
                 done.append(True)
                 v = vecs[0]
                 t, c = min(v.terms.items())
-                vecs[0] = Vector(v.ring, {**v.terms, t: v.ring.coeff_add(c, c)})
+                vecs[0] = Vector(v.ring, {**v.terms, t: v.ring.coeff(c + c)})
             return vecs
 
         resolution.kernel_vectors = perturbed
