@@ -61,9 +61,6 @@ class CohomologyTable:
     def degrees(self) -> dict[int, int]:
         return {deg: self.dim(deg) for deg in sorted(self.entries)}
 
-    def euler(self) -> int:
-        return sum((-1) ** deg * self.dim(deg) for deg in self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 

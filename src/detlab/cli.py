@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from functools import partial
@@ -358,10 +359,14 @@ def main(argv=None) -> int:
         "cases": cases,
         "pass": passed,
     }
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_text(report, time.time() - start))
+    text = json.dumps(report, indent=2) if args.json else render_text(report, time.time() - start)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): that is not a failed case, so
+        # keep the verdict's exit status, and send what is left to devnull
+        # so that the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if passed else 1
 
 

@@ -17,7 +17,6 @@ from .modules import (
     ModuleMap,
     ModulePresentation,
     Vector,
-    presentation_from_json,
     presentation_to_json,
 )
 from .resolution import free_resolution

@@ -28,9 +28,6 @@ class FreeModule:
     def basis_vector(self, pos: int) -> "Vector":
         return Vector(self.ring, {(pos, self.ring.zero_mono): self.ring.coeff(1)})
 
-    def zero(self) -> "Vector":
-        return Vector(self.ring, {})
-
 
 class Vector(Terms):
     """Element of a free module: dict from (position, exponent tuple) to coeff."""
@@ -177,11 +174,6 @@ class ModulePresentation:
         return self.relations.columns
 
     @staticmethod
-    def of_free(module: FreeModule) -> "ModulePresentation":
-        empty = ModuleMap(FreeModule(module.ring, ()), module, [])
-        return ModulePresentation(module, empty)
-
-    @staticmethod
     def from_relations(
         generators: FreeModule, vectors: list[Vector]
     ) -> "ModulePresentation":
@@ -243,22 +235,6 @@ class HilbertSeries:
             out = {d: c for d, c in nxt.items() if c}
         return HilbertSeries(out, denom)
 
-    def coefficients(self, upto: int) -> list[int]:
-        """Power-series coefficients in degrees 0..upto (negative-degree
-        numerator terms still contribute)."""
-        from math import comb
-
-        n = self.denom_power
-        out = [0] * (upto + 1)
-        for d, c in self.numerator.items():
-            for k in range(max(d, 0), upto + 1):
-                if n == 0:
-                    if k == d:
-                        out[k] += c
-                else:
-                    out[k] += c * comb(k - d + n - 1, n - 1)
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HilbertSeries):
             return NotImplemented
@@ -281,21 +257,8 @@ def poly_to_json(p: Polynomial) -> list:
     return [[str(c), list(m)] for m, c in sorted(p.terms.items())]
 
 
-def poly_from_json(ring: PolyRing, data: list) -> Polynomial:
-    terms = {}
-    for cs, expo in data:
-        c = ring.coeff(cs)
-        if c:
-            terms[tuple(expo)] = c
-    return Polynomial(ring, terms)
-
-
 def ring_to_json(ring: PolyRing) -> dict:
     return {"nvars": ring.nvars, "char": ring.char, "names": list(ring.names)}
-
-
-def ring_from_json(data: dict) -> PolyRing:
-    return PolyRing(data["nvars"], data["char"], tuple(data["names"]))
 
 
 def map_to_json(fmap: ModuleMap) -> dict:
@@ -306,25 +269,9 @@ def map_to_json(fmap: ModuleMap) -> dict:
     }
 
 
-def map_from_json(ring: PolyRing, data: dict) -> ModuleMap:
-    src = FreeModule(ring, tuple(data["source_degrees"]))
-    tgt = FreeModule(ring, tuple(data["target_degrees"]))
-    entries = [
-        [poly_from_json(ring, e) for e in row] for row in data["matrix"]
-    ]
-    return ModuleMap.from_entries(src, tgt, entries)
-
-
 def presentation_to_json(pres: ModulePresentation) -> dict:
     return {
         "ring": ring_to_json(pres.ring),
         "generator_degrees": list(pres.gen_degrees),
         "relations": map_to_json(pres.relations),
     }
-
-
-def presentation_from_json(data: dict) -> ModulePresentation:
-    ring = ring_from_json(data["ring"])
-    rel = map_from_json(ring, data["relations"])
-    gens = FreeModule(ring, tuple(data["generator_degrees"]))
-    return ModulePresentation(gens, rel)

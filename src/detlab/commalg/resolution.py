@@ -1,12 +1,16 @@
-"""Free resolutions of graded modules, minimization, and Betti tables.
+"""Minimal graded free resolutions and Betti tables.
 
-The resolution is built by iterated kernels: trim the current relations to a
-minimal generating set, make them the next differential, and compute
-generators (not a Groebner basis) of its kernel by elimination.  Trimming
-every step keeps the complex
-minimal except possibly at the generator stage, where a non-minimal
-presentation can leave constant entries in the first differential; a
-unit-clearing pass removes those.
+A resolution steps through the image path that `wedge_module` and
+`hom_module` use.  A relation with a constant entry marks a redundant
+generator (for homogeneous relations the two are the same), so such a
+module is first re-presented by `image_presentation` on the
+`minimal_generators` of the basis modulo a Groebner basis of the relations.
+The first differential is then a minimal generating set of the relations,
+and each next one is the relation map of `image_presentation` of the one
+before, until its source has rank 0.  Every kernel is trimmed to minimal
+generators, so graded Nakayama makes the resolution minimal; a constant
+entry left in a differential raises, as a nonzero d∘d does, so both checks
+hold under `python -O`.
 
 Trimming completes the Groebner basis of the kept relations only through
 the degree being tested (`minimal_generators`), which is exact for these
@@ -17,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import kernel_vectors, minimal_generators
+from .groebner import groebner, minimal_generators
 from .hilbert import free_module_series
+from .homs import image_presentation
 from .modules import FreeModule, HilbertSeries, ModuleMap, ModulePresentation, Vector
 
 
@@ -53,14 +58,6 @@ class Resolution:
                 return False
         return True
 
-    def has_constant_entry(self) -> bool:
-        zero = self.f0.ring.zero_mono
-        return any(
-            any(m == zero for (_, m) in col.terms)
-            for d in self.maps
-            for col in d.columns
-        )
-
     def euler_series(self) -> HilbertSeries:
         """Alternating sum of the free-module series; equals the Hilbert
         series of the resolved module when the complex is a resolution."""
@@ -71,94 +68,36 @@ class Resolution:
         return out
 
 
-def _find_unit(maps: list[ModuleMap], zero_mono) -> tuple[int, int, int] | None:
-    for k, d in enumerate(maps):
-        for c, col in enumerate(d.columns):
-            for (p, m), v in col.terms.items():
-                if m == zero_mono:
-                    return (k, p, c)
-    return None
-
-
-def _drop_position(vec: Vector, pos: int) -> Vector:
-    return Vector(
-        vec.ring,
-        {
-            (p if p < pos else p - 1, m): c
-            for (p, m), c in vec.terms.items()
-            if p != pos
-        },
-    )
-
-
-def _minimize(f0: FreeModule, maps: list[ModuleMap]) -> tuple[FreeModule, list[ModuleMap]]:
-    ring = f0.ring
-    zero = ring.zero_mono
-    maps = [ModuleMap(d.source, d.target, list(d.columns)) for d in maps]
-    while True:
-        found = _find_unit(maps, zero)
-        if found is None:
-            break
-        k, r, c = found
-        d = maps[k]
-        unit = d.columns[c].terms[(r, zero)]
-        inv = ring.coeff_inv(unit)
-        pivot_col = d.columns[c]
-        new_cols = []
-        for j, col in enumerate(d.columns):
-            if j == c:
-                continue
-            entry = col.component(r)
-            if not entry.is_zero():
-                col = col - pivot_col.poly_scaled(entry.scaled(inv))
-            new_cols.append(_drop_position(col, r))
-        src_degs = tuple(x for j, x in enumerate(d.source.degrees) if j != c)
-        tgt_degs = tuple(x for j, x in enumerate(d.target.degrees) if j != r)
-        new_src = FreeModule(ring, src_degs)
-        new_tgt = FreeModule(ring, tgt_degs)
-        maps[k] = ModuleMap(new_src, new_tgt, new_cols)
-        if k + 1 < len(maps):
-            nxt = maps[k + 1]
-            cols = [_drop_position(col, c) for col in nxt.columns]
-            maps[k + 1] = ModuleMap(nxt.source, new_src, cols)
-        if k == 0:
-            f0 = new_tgt
-        else:
-            prev = maps[k - 1]
-            cols = [col for j, col in enumerate(prev.columns) if j != r]
-            maps[k - 1] = ModuleMap(new_tgt, prev.target, cols)
-    while maps and maps[-1].source.rank == 0:
-        maps.pop()
-    return f0, maps
+def _has_constant_entry(vectors: list[Vector]) -> bool:
+    return any(not any(m) for v in vectors for (_, m) in v.terms)
 
 
 def free_resolution(pres: ModulePresentation) -> Resolution:
     """Minimal graded free resolution of the presented module.
 
-    Each kernel is trimmed to minimal generators, so with a minimally
-    generated presentation the output is already minimal; a final pass
-    clears any constant entries left by redundant generators.  Raises
-    RuntimeError if more than nvars + 1 steps are needed or if the
-    differentials do not compose to zero.
+    Raises RuntimeError if more than nvars + 1 steps are needed, if the
+    differentials do not compose to zero, or if one has a constant entry
+    (the resolution would not be minimal).
     """
     ring = pres.ring
-    f0 = pres.generators
-    rel = [v for v in pres.relation_vectors if not v.is_zero()]
+    gens = pres.generators
+    if _has_constant_entry(pres.relation_vectors):
+        gb = groebner(ring, pres.relation_vectors, gens.degrees)
+        basis = [gens.basis_vector(i) for i in range(gens.rank)]
+        kept = minimal_generators(ring, basis, gens.degrees, gb)
+        src = FreeModule(ring, tuple(v.degree(gens.degrees) for v in kept))
+        pres = image_presentation(ModuleMap(src, gens, kept), gb)
+    rel = minimal_generators(ring, pres.relation_vectors, pres.gen_degrees)
+    step = ModulePresentation.from_relations(pres.generators, rel).relations
     maps: list[ModuleMap] = []
-    current = f0
-    while rel:
-        ming = minimal_generators(ring, rel, current.degrees)
-        if not ming:
-            break
-        degs = tuple(v.degree(current.degrees) for v in ming)
-        step = ModuleMap(FreeModule(ring, degs), current, ming)
+    while step.source.rank:
         maps.append(step)
         if len(maps) > ring.nvars + 1:
             raise RuntimeError("resolution exceeded the expected length bound")
-        rel = kernel_vectors(step)
-        current = step.source
-    f0, maps = _minimize(f0, maps)
-    res = Resolution(f0, maps)
+        step = image_presentation(step).relations
+    res = Resolution(pres.generators, maps)
     if not res.verify_complex():
         raise RuntimeError("resolution differentials do not compose to zero")
+    if any(_has_constant_entry(d.columns) for d in maps):
+        raise RuntimeError("resolution is not minimal: a differential has a constant entry")
     return res

@@ -93,9 +93,6 @@ class PolyRing:
         return (0,) * self.nvars
 
     # -- polynomial constructors ----------------------------------------------
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
-
     def one(self) -> "Polynomial":
         return self.constant(1)
 
@@ -108,10 +105,6 @@ class PolyRing:
             raise ValueError(f"no variable {i}")
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {mono: self.coeff(1)})
-
-    def monomial(self, expo, c=1) -> "Polynomial":
-        c = self.coeff(c)
-        return Polynomial(self, {tuple(expo): c} if c else {})
 
 
 class Terms:

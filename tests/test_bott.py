@@ -101,6 +101,10 @@ def test_global_sections_of_schur_bundles():
                 assert t.degrees() == {0: weyl_dim(delta.padded(m))}
 
 
+def euler(table):
+    return sum((-1) ** deg * dim for deg, dim in table.degrees().items())
+
+
 def test_euler_additivity():
     # Q x (wedge^2 Q)^dual x det(Q) = Q, whose sections are the 4-dim space
     qsum = SchurSum(2, {(1, 0): 1})
@@ -109,8 +113,8 @@ def test_euler_additivity():
     total = cohomology_of(4, qsum)
     by_terms = 0
     for x, mult in qsum.items():
-        by_terms += mult * bott_cohomology(2, 4, x, (0, 0)).euler()
-    assert total.euler() == by_terms
+        by_terms += mult * euler(bott_cohomology(2, 4, x, (0, 0)))
+    assert euler(total) == by_terms
     assert total.degrees() == {0: 4}
 
 

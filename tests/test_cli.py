@@ -23,14 +23,18 @@ FROZEN_COMMANDS = [
 ]
 
 
-def run(*args, env_extra=None, timeout=None):
+def child_env(env_extra=None):
     env = dict(os.environ)
     # the CLI runs in a child process: let it import this checkout's package
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run(*args, env_extra=None, timeout=None):
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env, timeout=timeout
+        CMD + list(args), capture_output=True, text=True, env=child_env(env_extra), timeout=timeout
     )
 
 
@@ -56,6 +60,24 @@ def test_tilt_grass_case_count():
     report = json.loads(r.stdout)
     assert report["pass"] is True
     assert len(report["cases"]) == 36
+
+
+def test_reader_closing_the_pipe_early_is_not_a_failure():
+    """`detlab ... --json | head -1`: the report (over 64 KB, more than a
+    pipe holds) is cut short by its reader; the command prints nothing on
+    stderr and still exits with the verdict's status."""
+    proc = subprocess.Popen(
+        CMD + ["check-tilt-grass", "--l", "3", "--m", "8", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, "")
 
 
 def test_check_mcm_exit_zero():
@@ -381,14 +403,11 @@ def test_build_talpha_roundtrip():
     assert r.returncode == 0
     report = json.loads(r.stdout)
     payload = report["cases"][0]["presentation"]
-    from detlab.commalg import hilbert_series, presentation_from_json
+    from detlab.commalg import presentation_to_json
     from detlab.detvar import generic_setup, wedge_module
 
-    pres = presentation_from_json(payload)
-    setup = generic_setup(2, 3, 1)
-    direct = wedge_module(setup, (1,)).presentation
-    assert pres.gen_degrees == direct.gen_degrees
-    assert hilbert_series(pres) == hilbert_series(direct)
+    direct = wedge_module(generic_setup(2, 3, 1), (1,)).presentation
+    assert payload == presentation_to_json(direct)
 
 
 def test_resolve_subcommand():

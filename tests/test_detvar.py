@@ -12,6 +12,7 @@ from detlab.commalg import (
     ModuleMap,
     ModulePresentation,
     PolyRing,
+    Polynomial,
     Vector,
     hilbert_series,
     hom_module,
@@ -76,11 +77,11 @@ def test_exterior_power_trivial_cases():
     ring = PolyRing(1, 0)
     F3 = FreeModule(ring, (0, 0, 0))
     ident = ModuleMap.from_entries(
-        F3, F3, [[ring.one() if i == j else ring.zero() for j in range(3)] for i in range(3)]
+        F3, F3, [[ring.one() if i == j else ring.constant(0) for j in range(3)] for i in range(3)]
     )
     w = exterior_power_matrix(ident, 2)
     assert w.entries() == [
-        [ring.one() if i == j else ring.zero() for j in range(3)] for i in range(3)
+        [ring.one() if i == j else ring.constant(0) for j in range(3)] for i in range(3)
     ]
 
 
@@ -89,12 +90,12 @@ def rand_poly_matrix(rng, ring, rows, cols, deg):
     for _ in range(rows):
         row = []
         for _ in range(cols):
-            p = ring.zero()
+            p = ring.constant(0)
             for _ in range(2):
                 e = [0] * ring.nvars
                 for _ in range(deg):
                     e[rng.randrange(ring.nvars)] += 1
-                p = p + ring.monomial(tuple(e), rng.randint(-2, 2))
+                p = p + ring.constant(rng.randint(-2, 2)) * Polynomial(ring, {tuple(e): 1})
             row.append(p)
         out.append(row)
     return out
@@ -261,6 +262,20 @@ def bott_h0(l, m, n, alpha, t) -> int:
     )
 
 
+def series_coefficients(s, upto):
+    """Power-series coefficients of `s` in degrees 0..upto: c * t^d over
+    (1-t)^n adds c * C(k - d + n - 1, n - 1) in each degree k >= d."""
+    n = s.denom_power
+    return [
+        sum(
+            c * (math.comb(k - d + n - 1, n - 1) if n else int(k == d))
+            for d, c in s.numerator.items()
+            if d <= k
+        )
+        for k in range(upto + 1)
+    ]
+
+
 def test_bott_predicts_wedge_image_hilbert_functions():
     """The Groebner side against the Bott side, computed independently: the
     degree-t piece of each box wedge image T_alpha is the space of global
@@ -268,7 +283,7 @@ def test_bott_predicts_wedge_image_hilbert_functions():
     for m, n, l, char in [(2, 3, 1, 0), (3, 3, 1, 0), (3, 3, 2, 0), (3, 4, 2, 32003)]:
         s = generic_setup(m, n, l, char=char)
         for alpha in s.box():
-            got = hilbert_series(wedge_module(s, alpha).presentation).coefficients(4)
+            got = series_coefficients(hilbert_series(wedge_module(s, alpha).presentation), 4)
             want = [bott_h0(l, m, n, alpha, t) for t in range(5)]
             assert got == want, ((m, n, l, char), alpha.parts, got, want)
 

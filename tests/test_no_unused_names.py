@@ -1,13 +1,16 @@
-"""Names earn their place: a `commalg` re-export has a user outside the
-package, a library module imports only names it uses, and no package
-`__init__` hides one of its submodules behind another object."""
+"""Names earn their place: every function, class and method has a user in
+the program, a `commalg` re-export has a user outside the package, a library
+module imports only names it uses, and no package `__init__` hides one of
+its submodules behind another object."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "detlab"
 COMMALG = SRC / "commalg"
+BENCH = ROOT / "bench"
 
 
 def parse(path: Path) -> ast.Module:
@@ -18,16 +21,17 @@ def bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
     return [a.asname or a.name.split(".")[0] for a in node.names]
 
 
-def referenced_names(tree: ast.AST) -> set[str]:
-    """Identifiers read or imported in a module (not the text of strings)."""
-    out: set[str] = set()
+def referenced_names(tree: ast.AST, imports: bool = True) -> Counter:
+    """How often each identifier is read or (with `imports`) imported in a
+    tree (not the text of strings)."""
+    out: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.split(".")[-1])
+            out[node.attr] += 1
+        elif imports and isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
     return out
 
 
@@ -47,7 +51,7 @@ def test_commalg_reexports_are_used_outside_commalg():
     ]
     seen: set[str] = set()
     for path in users:
-        seen |= referenced_names(parse(path))
+        seen.update(referenced_names(parse(path)))
     assert [name for name in exported if name not in seen] == []
 
 
@@ -108,3 +112,40 @@ def test_package_inits_do_not_shadow_submodules():
             for name in sorted(names_bound_at_top(parse(init)) & submodules)
         ]
     assert shadowed == []
+
+
+def span_target_names() -> set[str]:
+    """The dotted parts of the strings in `bench/layers.py` TARGETS: the
+    traced run wraps those functions by name."""
+    for node in parse(BENCH / "layers.py").body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return {
+                part
+                for leaf in ast.walk(node.value)
+                if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+                for part in leaf.value.split(".")
+            }
+    raise AssertionError("bench/layers.py has no TARGETS")
+
+
+def test_every_definition_is_named_by_the_program():
+    """Each function, class and method under src/detlab (dunders excepted) is
+    named in src/ or bench/ outside its own definition.  Package `__init__`
+    re-exports and tests do not count; the span targets of the traced run
+    do."""
+    trees = {path: parse(path) for folder in (SRC, BENCH) for path in sorted(folder.rglob("*.py"))}
+    uses = span_target_names()
+    counts: Counter = Counter()
+    for path, tree in trees.items():
+        counts.update(referenced_names(tree, imports=path.name != "__init__.py"))
+    unnamed = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in uses
+        and counts[node.name] == referenced_names(node)[node.name]
+    ]
+    assert unnamed == []

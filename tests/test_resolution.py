@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from detlab.commalg import (
@@ -84,7 +85,9 @@ def test_resolution_differentials_compose_to_zero():
         for alpha in setup.box():
             res = free_resolution(wedge_module(setup, alpha).presentation)
             assert res.verify_complex()
-            assert not res.has_constant_entry()
+            assert not any(
+                not any(m) for d in res.maps for col in d.columns for (_, m) in col.terms
+            )
 
 
 def test_perturbed_differential_fails_verify_complex():
@@ -108,7 +111,7 @@ def test_perturbed_differential_fails_verify_complex():
 
 def test_hilbert_free_module():
     R4 = PolyRing(4, 0)
-    pres = ModulePresentation.of_free(FreeModule(R4, (0,)))
+    pres = ModulePresentation.from_relations(FreeModule(R4, (0,)), [])
     s = hilbert_series(pres).canonical()
     assert s.numerator == {0: 1} and s.denom_power == 4
 
@@ -119,13 +122,27 @@ def test_hilbert_artinian():
     assert s.numerator == {0: 1} and s.denom_power == 0
 
 
+def series_coefficients(s, upto):
+    """Power-series coefficients of `s` in degrees 0..upto: c * t^d over
+    (1-t)^n adds c * C(k - d + n - 1, n - 1) in each degree k >= d."""
+    n = s.denom_power
+    return [
+        sum(
+            c * (comb(k - d + n - 1, n - 1) if n else int(k == d))
+            for d, c in s.numerator.items()
+            if d <= k
+        )
+        for k in range(upto + 1)
+    ]
+
+
 def test_hilbert_with_shifted_generators():
     F = FreeModule(R2, (-2, 3))
-    pres = ModulePresentation.of_free(F)
+    pres = ModulePresentation.from_relations(F, [])
     s = hilbert_series(pres)
     assert s == free_module_series((-2, 3), 2)
     # degree -2 generator contributes from degree -2 on
-    coeffs = s.coefficients(4)
+    coeffs = series_coefficients(s, 4)
     assert coeffs[0] == 3  # monomials of degree 2 in 2 vars on the shifted gen
     assert coeffs[3] == 6 + 1
 
@@ -164,13 +181,13 @@ def test_betti_tables_agree_between_characteristics():
 
 
 def test_degenerate_modules():
-    zero_mod = ModulePresentation.of_free(FreeModule(R2, ()))
+    zero_mod = ModulePresentation.from_relations(FreeModule(R2, ()), [])
     res = free_resolution(zero_mod)
     assert res.length == 0 and res.f0.rank == 0
     s = hilbert_series(zero_mod).canonical()
     assert s.numerator == {}
     # zero relations on a nonzero module
-    free = ModulePresentation.of_free(FreeModule(R2, (0,)))
+    free = ModulePresentation.from_relations(FreeModule(R2, (0,)), [])
     assert free_resolution(free).length == 0
 
 
@@ -181,13 +198,13 @@ def test_perturbed_syzygy_fails_under_optimize():
     script = textwrap.dedent(
         """
         import sys
-        from detlab.commalg import Vector, resolution
+        from detlab.commalg import Vector, homs, resolution
         from detlab.detvar import generic_setup, wedge_module
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
         pres = wedge_module(generic_setup(2, 3, 1), (1,)).presentation
-        real = resolution.kernel_vectors
+        real = homs.kernel_vectors
         done = []
 
         def perturbed(*args, **kwargs):
@@ -199,7 +216,7 @@ def test_perturbed_syzygy_fails_under_optimize():
                 vecs[0] = Vector(v.ring, {**v.terms, t: v.ring.coeff(c + c)})
             return vecs
 
-        resolution.kernel_vectors = perturbed
+        homs.kernel_vectors = perturbed
         try:
             resolution.free_resolution(pres)
         except RuntimeError as exc:
@@ -208,11 +225,81 @@ def test_perturbed_syzygy_fails_under_optimize():
             sys.exit("free_resolution accepted a perturbed syzygy")
         """
     )
-    r = subprocess.run(
+    r = run_optimized(script)
+    assert r.returncode == 0, r.stderr
+    assert "do not compose to zero" in r.stdout
+
+
+def test_duplicated_syzygy_fails_minimality_under_optimize():
+    """Minimality is an explicit raise too: a kernel whose minimal generators
+    come back with one of them twice leaves a constant entry in the next
+    differential, and free_resolution must fail under `python -O`."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from detlab.commalg import homs, resolution
+        from detlab.detvar import generic_setup, wedge_module
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        pres = wedge_module(generic_setup(2, 3, 1), (1,)).presentation
+        real = homs.minimal_generators
+        done = []
+
+        def duplicated(*args, **kwargs):
+            kept = real(*args, **kwargs)
+            if kept and not done:
+                done.append(True)
+                kept.append(kept[0])
+            return kept
+
+        homs.minimal_generators = duplicated
+        try:
+            resolution.free_resolution(pres)
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("free_resolution accepted a duplicated syzygy")
+        """
+    )
+    r = run_optimized(script)
+    assert r.returncode == 0, r.stderr
+    assert "not minimal" in r.stdout
+
+
+def run_optimized(script):
+    return subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
-    assert r.returncode == 0, r.stderr
-    assert "do not compose to zero" in r.stdout
+
+
+def with_redundant_generator(pres):
+    """`pres` (generators in degree 0) with one more generator e of degree 1
+    and the relation e - x_0 e_0 - x_1 e_1 (e_1 = e_0 on a cyclic module)."""
+    ring = pres.ring
+    r = pres.generators.rank
+    F = FreeModule(ring, pres.gen_degrees + (1,))
+    rel = (
+        F.basis_vector(r)
+        - F.basis_vector(0).poly_scaled(ring.variable(0))
+        - F.basis_vector(min(1, r - 1)).poly_scaled(ring.variable(1))
+    )
+    return ModulePresentation.from_relations(F, [*pres.relation_vectors, rel])
+
+
+def test_redundant_generator_leaves_the_betti_table():
+    """A presentation with a redundant generator is re-presented on a
+    minimal one before resolving, so the graded Betti table is the one of
+    the minimal presentation, over Q and over F_32003."""
+    for char in (0, 32003):
+        for mnl in [(2, 4, 1), (3, 3, 1), (3, 3, 2), (3, 4, 2)]:
+            setup = generic_setup(*mnl, char=char)
+            for alpha in setup.box():
+                pres = wedge_module(setup, alpha).presentation
+                assert set(pres.gen_degrees) == {0}
+                padded = with_redundant_generator(pres)
+                want = free_resolution(pres).betti()
+                assert free_resolution(padded).betti() == want, (mnl, alpha.parts, char)
