@@ -1,7 +1,7 @@
 """Exact commutative algebra: Groebner bases, resolutions, Hilbert series, Hom."""
 
 from .groebner import GroebnerEngine, kernel_vectors, minimal_generators
-from .hilbert import free_module_series, hilbert_series
+from .hilbert import hilbert_series
 from .homs import (
     HomModule,
     block_copies,

@@ -65,7 +65,7 @@ class TermCodec:
     else (no elimination block when `split` is 0).  See the module docstring
     for the layout."""
 
-    def __init__(self, nvars: int, split: int = 0):
+    def __init__(self, nvars: int, split: int):
         self.nvars = nvars
         self.split = split
         ones = sum(1 << (FIELD_BITS * (i + 1)) for i in range(nvars))
@@ -151,20 +151,15 @@ class GroebnerEngine:
     """Incremental Buchberger over a free module.
 
     `degrees` (degree of each position) only steers pair selection; it is
-    the grading of the ambient free module when known.  `split` selects the
+    the grading of the ambient free module.  `split` selects the
     term order: 0 is grevlex term-over-position, and `t > 0` is the block
     elimination order in which positions below `t` dominate everything else.
     """
 
-    def __init__(
-        self,
-        ring: PolyRing,
-        degrees: Sequence[int] | None = None,
-        split: int = 0,
-    ):
+    def __init__(self, ring: PolyRing, degrees: Sequence[int], split: int = 0):
         self.ring = ring
         self.codec = TermCodec(ring.nvars, split)
-        self.degrees = tuple(degrees) if degrees is not None else None
+        self.degrees = tuple(degrees)
         self.basis: list[_Elt] = []
         # packed position field -> basis elements led there, in index order
         self._by_pos: dict[int, list[_Elt]] = {}
@@ -183,9 +178,6 @@ class GroebnerEngine:
         return Vector(self.ring, {unpack(k): integral(c) for k, c in terms.items()})
 
     # -- basic helpers ---------------------------------------------------------
-    def _pos_degree(self, pos: int) -> int:
-        return self.degrees[pos] if self.degrees is not None else 0
-
     def _monic(self, terms: dict) -> dict:
         """Scale so the lead coefficient is one and put the lead first."""
         lead = max(terms)
@@ -306,7 +298,7 @@ class GroebnerEngine:
         by_lcm: dict[int, list[_Elt]] = {}
         for g in survivors:
             by_lcm.setdefault(lcms[g.idx], []).append(g)
-        sdeg0 = self._pos_degree(t.lead_pos)
+        sdeg0 = self.degrees[t.lead_pos]
         for lcm_val, members in by_lcm.items():
             if t.single_pos and any(
                 g.single_pos and not g.support & t.support for g in members
@@ -413,11 +405,7 @@ class _ReducerView:
 # Convenience fronts
 
 
-def groebner(
-    ring: PolyRing,
-    vectors: Iterable[Vector],
-    degrees: Sequence[int] | None = None,
-) -> list[Vector]:
+def groebner(ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int]) -> list[Vector]:
     """Reduced Groebner basis of the submodule generated by `vectors`."""
     eng = GroebnerEngine(ring, degrees)
     for v in vectors:
@@ -425,9 +413,7 @@ def groebner(
     return eng.reduced_basis()
 
 
-def kernel_vectors(
-    fmap: ModuleMap, target_quotient_gb: Sequence[Vector] = ()
-) -> list[Vector]:
+def kernel_vectors(fmap: ModuleMap, target_quotient_gb: Sequence[Vector]) -> list[Vector]:
     """Generators, not a Groebner basis, of the kernel of source -> target/Q.
 
     `target_quotient_gb` must be a Groebner basis, in the engine's default

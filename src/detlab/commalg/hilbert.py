@@ -2,10 +2,12 @@
 
 The leading-term module of the relations splits per position into monomial
 ideals, so the series of the presentation is a degree-shifted sum of monomial
-quotient numerators, all over (1-t)^nvars.  The leads are read from a
-completed (not reduced) Groebner basis; minimalizing them per position
-drops the redundant ones.  The monomial numerator uses the
-classic variable-pivot recursion with memoization.
+quotient numerators, all over (1-t)^nvars.  Every series of one ring shares
+that denominator; `HilbertSeries` raises ValueError when asked to add or
+compare series over different ones.  The leads are read from a completed
+(not reduced) Groebner basis; minimalizing them per position drops the
+redundant ones.  The monomial numerator uses the classic variable-pivot
+recursion with memoization.
 """
 
 from __future__ import annotations
@@ -99,13 +101,4 @@ def hilbert_series(pres: ModulePresentation) -> HilbertSeries:
         for e, c in part.items():
             d = e + degrees[pos]
             num[d] = num.get(d, 0) + c
-            if not num[d]:
-                del num[d]
     return HilbertSeries(num, ring.nvars)
-
-
-def free_module_series(degrees: tuple[int, ...], nvars: int) -> HilbertSeries:
-    num: dict[int, int] = {}
-    for d in degrees:
-        num[d] = num.get(d, 0) + 1
-    return HilbertSeries(num, nvars)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
-from .groebner import GroebnerEngine, groebner, kernel_vectors, minimal_generators
+from .groebner import GroebnerEngine, kernel_vectors, minimal_generators
 from .modules import FreeModule, ModuleMap, ModulePresentation, Vector
 from .rings import PolyRing
 
@@ -63,14 +63,14 @@ def image_presentation(
 
 
 def hom_module(
-    M: ModulePresentation, N: ModulePresentation, gb: Sequence[Vector] | None = None
+    M: ModulePresentation, N: ModulePresentation, gb: Sequence[Vector]
 ) -> HomModule:
     """Presentation of Hom(M, N) over the common polynomial ring.
 
     When both arguments are modules over a quotient ring (their relations
     contain the quotient ideal times each generator), this is the Hom over
-    that quotient.  `gb`, if given, is the reduced Groebner basis of N's
-    relations (as `groebner` returns it), computed once by the caller.
+    that quotient.  `gb` is the reduced Groebner basis of N's relations (as
+    `groebner` returns it), computed once by the caller.
     """
     if M.ring != N.ring:
         raise ValueError("modules must share a ring")
@@ -80,34 +80,30 @@ def hom_module(
     ambient = _ambient(M, N)
     rel_M = M.relation_vectors
     a1 = len(rel_M)
-    n_gb = groebner(ring, N.relation_vectors, degrees=N.gen_degrees) if gb is None else gb
 
-    if a1 == 0 or a0 == 0:
-        gens = [ambient.basis_vector(i) for i in range(ambient.rank)]
-    else:
-        # target of the constraint map: one block of N's generator module per
-        # relation of M
-        tgt_degs = []
-        rel_degs = [v.degree(M.gen_degrees) for v in rel_M]
-        for e in rel_degs:
-            for di in N.gen_degrees:
-                tgt_degs.append(di - e)
-        tgt = FreeModule(ring, tuple(tgt_degs))
-        cols = []
-        for k in range(a0):
-            coefs = [rel_M[q].component(k) for q in range(a1)]
-            for i in range(b0):
-                terms: dict = {}
-                for q, poly in enumerate(coefs):
-                    for m, c in poly.terms.items():
-                        terms[(q * b0 + i, m)] = c
-                cols.append(Vector(ring, terms))
-        constraint = ModuleMap(ambient, tgt, cols)
-        gens = kernel_vectors(constraint, block_copies(n_gb, b0, a1))
+    # target of the constraint map: one block of N's generator module per
+    # relation of M; with no relations the kernel is the whole ambient module
+    tgt_degs = []
+    rel_degs = [v.degree(M.gen_degrees) for v in rel_M]
+    for e in rel_degs:
+        for di in N.gen_degrees:
+            tgt_degs.append(di - e)
+    tgt = FreeModule(ring, tuple(tgt_degs))
+    cols = []
+    for k in range(a0):
+        coefs = [rel_M[q].component(k) for q in range(a1)]
+        for i in range(b0):
+            terms: dict = {}
+            for q, poly in enumerate(coefs):
+                for m, c in poly.terms.items():
+                    terms[(q * b0 + i, m)] = c
+            cols.append(Vector(ring, terms))
+    constraint = ModuleMap(ambient, tgt, cols)
+    gens = kernel_vectors(constraint, block_copies(gb, b0, a1))
 
     # trim generators modulo the target relations: Hom lives in the quotient
     # of the preimage by the embedded relation submodule of N^{a0}
-    amb_quotient = block_copies(n_gb, b0, a0)
+    amb_quotient = block_copies(gb, b0, a0)
     gens = minimal_generators(ring, gens, ambient.degrees, amb_quotient)
     hom_free = FreeModule(ring, tuple(v.degree(ambient.degrees) for v in gens))
     # relations among the hom generators, modulo N-relations in each block
@@ -115,7 +111,7 @@ def hom_module(
     return HomModule(pres.generators, pres.relations, ambient, gens)
 
 
-def membership_engine(ring: PolyRing, vectors, degrees, gb=()) -> GroebnerEngine:
+def membership_engine(ring: PolyRing, vectors, degrees, gb) -> GroebnerEngine:
     """Completed engine on `vectors` over `gb`, a known Groebner basis (seeded)."""
     eng = GroebnerEngine(ring, degrees)
     eng.seed(gb)

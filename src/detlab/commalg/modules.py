@@ -57,7 +57,7 @@ class Vector(Terms):
     def shifted_positions(self, offset: int) -> "Vector":
         return Vector(self.ring, {(p + offset, m): c for (p, m), c in self.terms.items()})
 
-    def restricted(self, lo: int, hi: int, offset: int = 0) -> "Vector":
+    def restricted(self, lo: int, hi: int, offset: int) -> "Vector":
         return Vector(
             self.ring,
             {(p + offset, m): c for (p, m), c in self.terms.items() if lo <= p < hi},
@@ -184,13 +184,21 @@ class ModulePresentation:
 
 @dataclass
 class HilbertSeries:
-    """numerator / (1-t)^denom_power with an integer Laurent numerator."""
+    """numerator / (1-t)^denom_power with an integer Laurent numerator.
+
+    Every series of one ring is computed over the same denominator
+    (1-t)^nvars, so `+` and `==` work on numerators alone and raise
+    ValueError when the denominators differ.  `canonical()` cancels the
+    common (1-t) factors; its power is the Krull dimension."""
 
     numerator: dict[int, int]
     denom_power: int
 
+    def __post_init__(self):
+        self.numerator = {d: c for d, c in self.numerator.items() if c}
+
     def canonical(self) -> "HilbertSeries":
-        num = {d: c for d, c in self.numerator.items() if c}
+        num = self.numerator
         denom = self.denom_power
         while denom > 0 and num and sum(num.values()) == 0:
             expos = sorted(num)
@@ -207,39 +215,22 @@ class HilbertSeries:
     def shifted(self, k: int) -> "HilbertSeries":
         return HilbertSeries({d + k: c for d, c in self.numerator.items()}, self.denom_power)
 
-    def __add__(self, other: "HilbertSeries") -> "HilbertSeries":
+    def _same_denominator(self, other: "HilbertSeries") -> None:
         if other.denom_power != self.denom_power:
-            a, b = self.canonical(), other.canonical()
-            top = max(a.denom_power, b.denom_power)
-            a = a._with_denom(top)
-            b = b._with_denom(top)
-        else:
-            a, b = self, other
-        num = dict(a.numerator)
-        for d, c in b.numerator.items():
+            raise ValueError(f"series over (1-t)^{self.denom_power} and (1-t)^{other.denom_power}")
+
+    def __add__(self, other: "HilbertSeries") -> "HilbertSeries":
+        self._same_denominator(other)
+        num = dict(self.numerator)
+        for d, c in other.numerator.items():
             num[d] = num.get(d, 0) + c
-            if not num[d]:
-                del num[d]
-        return HilbertSeries(num, a.denom_power)
-
-    def scaled(self, k: int) -> "HilbertSeries":
-        return HilbertSeries({d: k * c for d, c in self.numerator.items()} if k else {}, self.denom_power)
-
-    def _with_denom(self, denom: int) -> "HilbertSeries":
-        out = dict(self.numerator)
-        for _ in range(denom - self.denom_power):
-            nxt: dict[int, int] = {}
-            for d, c in out.items():
-                nxt[d] = nxt.get(d, 0) + c
-                nxt[d + 1] = nxt.get(d + 1, 0) - c
-            out = {d: c for d, c in nxt.items() if c}
-        return HilbertSeries(out, denom)
+        return HilbertSeries(num, self.denom_power)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a.numerator == b.numerator and a.denom_power == b.denom_power
+        self._same_denominator(other)
+        return self.numerator == other.numerator
 
     def __str__(self) -> str:
         num = " + ".join(

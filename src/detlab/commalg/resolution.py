@@ -4,13 +4,14 @@ A resolution steps through the image path that `wedge_module` and
 `hom_module` use.  A relation with a constant entry marks a redundant
 generator (for homogeneous relations the two are the same), so such a
 module is first re-presented by `image_presentation` on the
-`minimal_generators` of the basis modulo a Groebner basis of the relations.
-The first differential is then a minimal generating set of the relations,
-and each next one is the relation map of `image_presentation` of the one
-before, until its source has rank 0.  Every kernel is trimmed to minimal
-generators, so graded Nakayama makes the resolution minimal; a constant
-entry left in a differential raises, as a nonzero d∘d does, so both checks
-hold under `python -O`.
+`minimal_generators` of the basis modulo a Groebner basis of the relations;
+`image_presentation` returns minimal relations, and any other module has its
+own relations trimmed by `minimal_generators`.  Those relations are the
+first differential, and each next one is the relation map of
+`image_presentation` of the one before, until its source has rank 0.  Every
+kernel is trimmed to minimal generators, so graded Nakayama makes the
+resolution minimal; a constant entry left in a differential raises, as a
+nonzero d∘d does, so both checks hold under `python -O`.
 
 Trimming completes the Groebner basis of the kept relations only through
 the degree being tested (`minimal_generators`), which is exact for these
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import groebner, minimal_generators
-from .hilbert import free_module_series
 from .homs import image_presentation
 from .modules import FreeModule, HilbertSeries, ModuleMap, ModulePresentation, Vector
 
@@ -59,13 +59,13 @@ class Resolution:
         return True
 
     def euler_series(self) -> HilbertSeries:
-        """Alternating sum of the free-module series; equals the Hilbert
-        series of the resolved module when the complex is a resolution."""
-        n = self.f0.ring.nvars
-        out = free_module_series(self.f0.degrees, n)
-        for i, d in enumerate(self.maps):
-            out = out + free_module_series(d.source.degrees, n).scaled((-1) ** (i + 1))
-        return out
+        """The alternating sum of the free modules' series, read off the
+        Betti table over (1-t)^nvars; equals the Hilbert series of the
+        resolved module when the complex is a resolution."""
+        num: dict[int, int] = {}
+        for (i, d), rank in self.betti().items():
+            num[d] = num.get(d, 0) + (-1) ** i * rank
+        return HilbertSeries(num, self.f0.ring.nvars)
 
 
 def _has_constant_entry(vectors: list[Vector]) -> bool:
@@ -87,8 +87,10 @@ def free_resolution(pres: ModulePresentation) -> Resolution:
         kept = minimal_generators(ring, basis, gens.degrees, gb)
         src = FreeModule(ring, tuple(v.degree(gens.degrees) for v in kept))
         pres = image_presentation(ModuleMap(src, gens, kept), gb)
-    rel = minimal_generators(ring, pres.relation_vectors, pres.gen_degrees)
-    step = ModulePresentation.from_relations(pres.generators, rel).relations
+        step = pres.relations
+    else:
+        rel = minimal_generators(ring, pres.relation_vectors, pres.gen_degrees)
+        step = ModulePresentation.from_relations(gens, rel).relations
     maps: list[ModuleMap] = []
     while step.source.rank:
         maps.append(step)

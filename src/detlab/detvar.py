@@ -81,7 +81,8 @@ def generic_setup(m: int, n: int, l: int, char: int = 0) -> DetSetup:
     ring = PolyRing(m * n, char, names)
     matrix = [[ring.variable(i * n + j) for j in range(n)] for i in range(m)]
     minors = _all_minors(matrix, l + 1)
-    gb = groebner(ring, [Vector(ring, {(0, mo): c for mo, c in p.terms.items()}) for p in minors])
+    ideal = [Vector(ring, {(0, mo): c for mo, c in p.terms.items()}) for p in minors]
+    gb = groebner(ring, ideal, (0,))
     quotient = ModulePresentation.from_relations(FreeModule(ring, (0,)), gb)
     dim = hilbert_series(quotient).canonical().denom_power
     codim = ring.nvars - dim
@@ -502,13 +503,12 @@ class EndDualReport:
 
 def series_shift(a: HilbertSeries, b: HilbertSeries) -> int | None:
     """The k with a == t^k * b, or None."""
-    ca, cb = a.canonical(), b.canonical()
-    if not ca.numerator and not cb.numerator:
+    if not a.numerator and not b.numerator:
         return 0
-    if not ca.numerator or not cb.numerator:
+    if not a.numerator or not b.numerator:
         return None
-    k = min(ca.numerator) - min(cb.numerator)
-    return k if ca == cb.shifted(k) else None
+    k = min(a.numerator) - min(b.numerator)
+    return k if a == b.shifted(k) else None
 
 
 def check_end_dual(setup: DetSetup) -> EndDualReport:

@@ -320,7 +320,7 @@ def test_flip_setup_transposes():
         for rows in itertools.combinations(range(3), 2)
     ]
     fresh = groebner(
-        s.ring, [Vector(s.ring, {(0, mo): c for mo, c in p.terms.items()}) for p in minors]
+        s.ring, [Vector(s.ring, {(0, mo): c for mo, c in p.terms.items()}) for p in minors], (0,)
     )
     assert [v.terms for v in f.quotient.relation_vectors] == [v.terms for v in fresh]
 
@@ -383,8 +383,9 @@ def hom_of_duals_series(end) -> dict:
     Hom(T_a^*, T_b^*), each Hom module computed from scratch."""
     box = [t.shape for t in end.summands]
     duals = [end.blocks[(i, box.index(Partition()))] for i in range(len(box))]
+    gbs = [groebner(d.ring, d.relation_vectors, d.gen_degrees) for d in duals]
     return {
-        (i, j): hilbert_series(hom_module(duals[i], duals[j]))
+        (i, j): hilbert_series(hom_module(duals[i], duals[j], gbs[j]))
         for i in range(len(box))
         for j in range(len(box))
     }

@@ -14,9 +14,12 @@ from detlab.commalg import (
     contains,
     hilbert_series,
     hom_module,
+    image_presentation,
     matrix_rank,
+    minimal_generators,
     random_rank,
 )
+from detlab.commalg.groebner import groebner
 from detlab.commalg.homs import membership_engine
 from detlab.detvar import generic_setup, wedge_module
 
@@ -30,30 +33,35 @@ def cyclic(ring, polys):
     return ModulePresentation.from_relations(F, vecs)
 
 
+def hom(M, N):
+    """`hom_module` with the reduced Groebner basis of N's relations."""
+    return hom_module(M, N, groebner(N.ring, N.relation_vectors, N.gen_degrees))
+
+
 def test_hom_free_free():
     free = ModulePresentation.from_relations(FreeModule(R2, (0,)), [])
-    h = hom_module(free, free)
+    h = hom(free, free)
     assert h.generators.rank == 1
     assert len(h.relation_vectors) == 0
 
 
 def test_hom_cyclic_self():
     sx = cyclic(R2, [X])
-    h = hom_module(sx, sx)
+    h = hom(sx, sx)
     assert h.generators.rank == 1
     assert hilbert_series(h) == hilbert_series(sx)
 
 
 def test_dual_of_free_and_torsion():
     free = ModulePresentation.from_relations(FreeModule(R2, (0,)), [])
-    assert hom_module(free, free).generators.rank == 1
-    assert hom_module(cyclic(R2, [X]), free).generators.rank == 0
+    assert hom(free, free).generators.rank == 1
+    assert hom(cyclic(R2, [X]), free).generators.rank == 0
 
 
 def test_end_of_wedge_module_is_quotient_ring():
     setup = generic_setup(2, 2, 1)
     t1 = wedge_module(setup, (1,))
-    h = hom_module(t1.presentation, t1.presentation)
+    h = hom(t1.presentation, t1.presentation)
     assert hilbert_series(h) == hilbert_series(setup.quotient)
 
 
@@ -61,8 +69,8 @@ def test_dual_reflexive_series():
     setup = generic_setup(2, 2, 1)
     rq = setup.quotient
     t1 = wedge_module(setup, (1,))
-    d = hom_module(t1.presentation, rq)
-    dd = hom_module(d, rq)
+    d = hom(t1.presentation, rq)
+    dd = hom(d, rq)
     assert hilbert_series(dd) == hilbert_series(t1.presentation)
 
 
@@ -71,13 +79,13 @@ def test_contains_seeds_a_known_basis(monkeypatch, char):
     """A Groebner basis passed as `gb` gives the membership answers it gives
     among the generators, and building the engine on it reduces nothing."""
     setup = generic_setup(3, 3, 1, char=char)
-    dual = hom_module(wedge_module(setup, (1,)).presentation, setup.quotient)
+    dual = hom(wedge_module(setup, (1,)).presentation, setup.quotient)
     degs = dual.ambient.degrees
     ideal = block_copies(setup.quotient.relation_vectors, 1, dual.ambient.rank)
     probes = dual.hom_generators + [dual.ambient.basis_vector(i) for i in range(dual.ambient.rank)]
     for gens in ([], dual.hom_generators):
         for v in probes:
-            want = contains(setup.ring, gens + ideal, degs, [v])
+            want = contains(setup.ring, gens + ideal, degs, [v], gb=[])
             assert contains(setup.ring, gens, degs, [v], gb=ideal) == want
     calls = []
     real = GroebnerEngine.reduce_terms
@@ -96,7 +104,7 @@ def test_dual_into_empty_shape_image_is_dual_into_quotient(mnl, char):
     t0 = wedge_module(setup, ())
     for alpha in setup.box():
         ta = wedge_module(setup, alpha).presentation
-        a, b = hom_module(ta, t0.presentation), hom_module(ta, setup.quotient)
+        a, b = hom(ta, t0.presentation), hom(ta, setup.quotient)
         assert a.generators == b.generators
         assert a.relation_vectors == b.relation_vectors
         assert a.hom_generators == b.hom_generators
@@ -107,8 +115,35 @@ def test_hom_grading_shifts():
     # Hom(S(-1), S) has its generator in degree -1
     shifted = ModulePresentation.from_relations(FreeModule(R2, (1,)), [])
     free = ModulePresentation.from_relations(FreeModule(R2, (0,)), [])
-    h = hom_module(shifted, free)
+    h = hom(shifted, free)
     assert h.gen_degrees == (-1,)
+
+
+def test_hom_from_zero_generator_module_is_zero():
+    zero = ModulePresentation.from_relations(FreeModule(R2, ()), [])
+    h = hom(zero, cyclic(R2, [X * Y]))
+    assert h.ambient.rank == 0 and h.hom_generators == [] and h.generators.rank == 0
+
+
+@pytest.mark.parametrize("target", [[], [X * Y], [X, Y * Y], [R2.one()]])
+def test_hom_from_relation_free_module_is_the_trimmed_ambient_basis(target):
+    """With no relations on M nothing constrains a homomorphism, so Hom(M, N)
+    is generated by the ambient basis trimmed modulo N's relations in each
+    block, and related by those relations."""
+    N = cyclic(R2, target)
+    M = ModulePresentation.from_relations(FreeModule(R2, (1, 2)), [])
+    gb = groebner(R2, N.relation_vectors, N.gen_degrees)
+    h = hom_module(M, N, gb)
+    quotient = block_copies(gb, 1, 2)
+    basis = [h.ambient.basis_vector(i) for i in range(h.ambient.rank)]
+    gens = minimal_generators(R2, basis, h.ambient.degrees, quotient)
+    free = FreeModule(R2, tuple(v.degree(h.ambient.degrees) for v in gens))
+    want = image_presentation(ModuleMap(free, h.ambient, gens), quotient)
+    assert h.ambient.degrees == (-1, -2)
+    # by increasing degree; none survive when N = 0
+    assert h.hom_generators == gens == ([basis[1], basis[0]] if target != [R2.one()] else [])
+    assert h.generators == want.generators
+    assert h.relation_vectors == want.relation_vectors
 
 
 def test_random_rank_cases():

@@ -1,7 +1,8 @@
 """Names earn their place: every function, class and method has a user in
 the program, a `commalg` re-export has a user outside the package, a library
-module imports only names it uses, and no package `__init__` hides one of
-its submodules behind another object."""
+module imports only names it uses, no package `__init__` hides one of its
+submodules behind another object, and every `commalg` default is one that
+some program call leaves out."""
 
 import ast
 from collections import Counter
@@ -128,24 +129,121 @@ def span_target_names() -> set[str]:
     raise AssertionError("bench/layers.py has no TARGETS")
 
 
+def methods(tree: ast.AST) -> set[ast.AST]:
+    """The function definitions directly in a class body."""
+    return {
+        item
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def attribute_names(tree: ast.AST) -> Counter:
+    """How often each identifier is read as an attribute (`x.name`)."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
 def test_every_definition_is_named_by_the_program():
     """Each function, class and method under src/detlab (dunders excepted) is
-    named in src/ or bench/ outside its own definition.  Package `__init__`
-    re-exports and tests do not count; the span targets of the traced run
-    do."""
+    named in src/ or bench/ outside its own definition; a method only through
+    attribute access (`x.name`), never by a bare identifier such as a local
+    variable of the same name.  Package `__init__` re-exports and tests do
+    not count; the span targets of the traced run do."""
     trees = {path: parse(path) for folder in (SRC, BENCH) for path in sorted(folder.rglob("*.py"))}
     uses = span_target_names()
     counts: Counter = Counter()
+    attrs: Counter = Counter()
     for path, tree in trees.items():
         counts.update(referenced_names(tree, imports=path.name != "__init__.py"))
-    unnamed = [
-        f"{path.relative_to(SRC.parent)}:{node.lineno} {node.name}"
-        for path, tree in trees.items()
-        if SRC in path.parents
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in uses
-        and counts[node.name] == referenced_names(node)[node.name]
-    ]
+        attrs.update(attribute_names(tree))
+    unnamed = []
+    for path, tree in trees.items():
+        if SRC not in path.parents:
+            continue
+        in_class = methods(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__") or node.name in uses:
+                continue
+            if node in in_class:
+                named = attrs[node.name] > attribute_names(node)[node.name]
+            else:
+                named = counts[node.name] > referenced_names(node)[node.name]
+            if not named:
+                unnamed.append(f"{path.relative_to(SRC.parent)}:{node.lineno} {node.name}")
     assert unnamed == []
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(call key, label, parameters, defaulted) for each function and method
+    with a default.  The key is the name a call uses: a function's or
+    method's own name, and a class's name for its `__init__`.  `parameters`
+    are the positional ones a call fills, so without `self` or `cls`."""
+    defs = [(node, None) for node in tree.body]
+    defs += [
+        (item, node)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+    ]
+    for node, cls in defs:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        decorators = {getattr(d, "id", None) for d in node.decorator_list}
+        if cls is not None and "staticmethod" not in decorators:
+            positional = positional[1:]
+        defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if not defaulted:
+            continue
+        key = cls.name if cls is not None and node.name == "__init__" else node.name
+        label = node.name if cls is None else f"{cls.name}.{node.name}"
+        yield key, label, positional, defaulted
+
+
+def call_shapes(tree: ast.AST):
+    """(name called, positional count, keyword names) of every call that
+    names its arguments.  A call through `*args` or `**kwargs` passes every
+    parameter and is left out; `partial(f, ...)` calls `partial`, not f, so
+    it never leaves out a parameter of f."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            continue
+        if any(k.arg is None for k in node.keywords):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is not None:
+            yield name, len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_commalg_default_is_omitted_by_a_program_call():
+    """A default that every call overrides serves no caller: each defaulted
+    parameter of a function or method under src/detlab/commalg is left out by
+    at least one call in src/ or bench/.  A call matches by the name it
+    calls (the attribute name for `x.name(...)`), and a call of a class
+    matches that class's `__init__`."""
+    calls: dict[str, list] = {}
+    for folder in (SRC, BENCH):
+        for path in sorted(folder.rglob("*.py")):
+            for name, npos, keywords in call_shapes(parse(path)):
+                calls.setdefault(name, []).append((npos, keywords))
+    defaults, never_omitted = [], []
+    for path in sorted(COMMALG.glob("*.py")):
+        for key, label, positional, defaulted in defaulted_parameters(parse(path)):
+            for param in defaulted:
+                defaults.append(f"{path.name} {label}.{param}")
+                index = positional.index(param) if param in positional else len(positional)
+                if not any(
+                    npos <= index and param not in keywords for npos, keywords in calls.get(key, [])
+                ):
+                    never_omitted.append(defaults[-1])
+    assert defaults
+    assert never_omitted == []

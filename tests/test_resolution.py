@@ -7,13 +7,15 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import pytest
+
 from detlab.commalg import (
     FreeModule,
+    HilbertSeries,
     ModuleMap,
     ModulePresentation,
     PolyRing,
     Vector,
-    free_module_series,
     free_resolution,
     hilbert_series,
     poly_det,
@@ -66,6 +68,47 @@ def test_euler_series_matches_hilbert():
         pres = setup.quotient
         res = free_resolution(pres)
         assert res.euler_series() == hilbert_series(pres)
+
+
+def dropped_generator(res, k):
+    """`res` with the last generator of F_k (k >= 1) removed: one Betti
+    entry less."""
+    maps = list(res.maps)
+    d = maps[k - 1]
+    src = FreeModule(d.source.ring, d.source.degrees[:-1])
+    maps[k - 1] = ModuleMap(src, d.target, d.columns[:-1])
+    if k < len(maps):
+        nxt = maps[k]
+        cols = [col.restricted(0, src.rank, 0) for col in nxt.columns]
+        maps[k] = ModuleMap(nxt.source, src, cols)
+    return Resolution(res.f0, maps)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("mnl", [(2, 4, 1), (3, 3, 1), (3, 4, 2)])
+def test_euler_series_of_box_modules_is_their_hilbert_series(mnl, char):
+    """The alternating sum read off the Betti table is the module's series,
+    and no resolution with one Betti entry dropped passes that check."""
+    setup = generic_setup(*mnl, char=char)
+    for alpha in setup.box():
+        pres = wedge_module(setup, alpha).presentation
+        res = free_resolution(pres)
+        want = hilbert_series(pres)
+        assert res.euler_series() == want, alpha
+        for k in range(1, res.length + 1):
+            broken = dropped_generator(res, k)
+            assert sum(broken.betti().values()) == sum(res.betti().values()) - 1
+            assert broken.euler_series() != want, (alpha, k)
+
+
+def test_series_over_different_denominators_raise():
+    a, b = HilbertSeries({0: 1}, 2), HilbertSeries({0: 1, 1: -1}, 3)
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a == b
+    assert a + a == HilbertSeries({0: 2}, 2)
+    assert a + HilbertSeries({0: -1}, 2) == HilbertSeries({}, 2)
 
 
 def test_minimization_collapses_redundant_generator():
@@ -140,7 +183,7 @@ def test_hilbert_with_shifted_generators():
     F = FreeModule(R2, (-2, 3))
     pres = ModulePresentation.from_relations(F, [])
     s = hilbert_series(pres)
-    assert s == free_module_series((-2, 3), 2)
+    assert s == HilbertSeries({-2: 1, 3: 1}, 2)
     # degree -2 generator contributes from degree -2 on
     coeffs = series_coefficients(s, 4)
     assert coeffs[0] == 3  # monomials of degree 2 in 2 vars on the shifted gen
