@@ -218,7 +218,7 @@ def check_tilting_grass(l: int, m: int) -> CheckReport:
     return _report("tilting-grassmannian", {"l": l, "m": m}, cases)
 
 
-def check_tilting_springer(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
+def check_tilting_springer(l: int, m: int, n: int, t_max: int) -> CheckReport:
     """Degreewise vanishing making the pulled-back bundle tilting on the
     total space: Sym_t of (trivial n-dim) x Q tensored into each Hom pair
     has no higher cohomology, for t <= t_max."""
@@ -227,7 +227,7 @@ def check_tilting_springer(l: int, m: int, n: int, t_max: int = 3) -> CheckRepor
     return _degreewise("tilting-springer", l, m, n, t_max, n, list(_hom_pairs(l, m)))
 
 
-def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
+def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int) -> CheckReport:
     """Degreewise vanishing against the dualizing twist det(Q)^{n-m}, needed
     for the endomorphism module to be maximal Cohen-Macaulay; requires m <= n."""
     if m > n:
@@ -238,7 +238,7 @@ def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int = 3) -> CheckRe
     return _degreewise("dualizing-vanishing", l, m, n, t_max, n, pairs)
 
 
-def check_fm_kernel(l: int, m: int, n: int, t_max: int = 3) -> CheckReport:
+def check_fm_kernel(l: int, m: int, n: int, t_max: int) -> CheckReport:
     """Degreewise vanishing behind the kernel pushforward in the derived
     embedding: H^{>0}((wedge^{alpha'}Q)^dual x Sym_t(Q x W)) = 0, with W a
     trivial l-dimensional factor (a fiber of the second quotient bundle)."""

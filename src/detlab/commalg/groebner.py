@@ -32,6 +32,11 @@ place that does not sum and then normalize through `PolyRing.coeff`: they
 reduce mod p inline, and `_vector`, the engine's one exit, turns an integral
 `Fraction` that characteristic-zero reduction can leave back into an int.
 
+Every completed engine is built by `membership_engine`: seed a known
+Groebner basis, add the generators, complete.  `groebner` reads the reduced
+basis off one, `kernel_vectors` the source-led elements of an elimination
+one, and `hilbert_series` and `contains` use one as it is.
+
 Pair management follows Gebauer-Moller.  The coprime (product) criterion is
 only applied when both elements are supported in a single position, where the
 rank-one proof applies verbatim; the chain criteria are position-safe.
@@ -368,49 +373,51 @@ class GroebnerEngine:
 
     def reduced_basis(self) -> list[Vector]:
         """Reduced Groebner basis: minimal lead terms, fully tail-reduced,
-        sorted by lead term."""
+        sorted by lead term.
+
+        A tail term lies below its own lead, so no element with that lead
+        can reduce it, and normal forms modulo a Groebner basis are unique:
+        reducing a kept element's tail by the whole basis gives the tail of
+        its interreduced form."""
         self.complete()
         divides = self.codec.divides
-        # per position, the first of equals among the leads no other divides,
-        # each tail-reduced by the others (so its lead survives)
-        keep = {
-            slot: [
-                g for g in elts
-                if not any(h.idx < g.idx if h.lead == g.lead else divides(h.lead, g.lead) for h in elts)
-            ]
-            for slot, elts in self._by_pos.items()
-        }
-        reduced = [
-            self._monic(_ReducerView(self, keep, g).reduce_terms(g.terms))
-            for elts in keep.values() for g in elts
+        # per position, the first of equals among the leads no other divides
+        kept = [
+            g
+            for elts in self._by_pos.values()
+            for g in elts
+            if not any(h.idx < g.idx if h.lead == g.lead else divides(h.lead, g.lead) for h in elts)
         ]
-        reduced.sort(key=lambda terms: next(iter(terms)))
-        return [self._vector(r) for r in reduced]
-
-
-class _ReducerView:
-    """Reduction against the elements of `by_pos` other than `skip` (for
-    interreduction)."""
-
-    def __init__(self, engine: GroebnerEngine, by_pos: dict, skip: _Elt):
-        self.ring = engine.ring
-        self.codec = engine.codec
-        self._by_pos = dict(by_pos)
-        self._by_pos[skip.slot] = [g for g in by_pos[skip.slot] if g is not skip]
-
-    reduce_terms = GroebnerEngine.reduce_terms
+        kept.sort(key=lambda g: g.lead)
+        out = []
+        for g in kept:
+            tail = dict(islice(g.terms.items(), 1, None))
+            out.append(self._vector({g.lead: g.terms[g.lead], **self.reduce_terms(tail)}))
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Convenience fronts
 
 
-def groebner(ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int]) -> list[Vector]:
-    """Reduced Groebner basis of the submodule generated by `vectors`."""
-    eng = GroebnerEngine(ring, degrees)
+def membership_engine(
+    ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int], gb: Sequence[Vector],
+    split: int = 0,
+) -> GroebnerEngine:
+    """The completed engine on `vectors` over `gb`, a Groebner basis known
+    beforehand (seeded, so it forms no pairs among itself), in the term
+    order `split` selects."""
+    eng = GroebnerEngine(ring, degrees, split)
+    eng.seed(gb)
     for v in vectors:
         eng.add_generator(v)
-    return eng.reduced_basis()
+    eng.complete()
+    return eng
+
+
+def groebner(ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int]) -> list[Vector]:
+    """Reduced Groebner basis of the submodule generated by `vectors`."""
+    return membership_engine(ring, vectors, degrees, ()).reduced_basis()
 
 
 def kernel_vectors(fmap: ModuleMap, target_quotient_gb: Sequence[Vector]) -> list[Vector]:
@@ -430,15 +437,12 @@ def kernel_vectors(fmap: ModuleMap, target_quotient_gb: Sequence[Vector]) -> lis
     ring = fmap.source.ring
     t = fmap.target.rank
     s = fmap.source.rank
-    degrees = fmap.target.degrees + fmap.source.degrees
-    eng = GroebnerEngine(ring, degrees, split=t)
-    eng.seed(target_quotient_gb)
     one = ring.coeff(1)
-    for j in range(s):
-        terms = dict(fmap.columns[j].terms)
-        terms[(t + j, ring.zero_mono)] = one
-        eng.add_generator(Vector(ring, terms))
-    eng.complete()
+    graph = [
+        Vector(ring, {**fmap.columns[j].terms, (t + j, ring.zero_mono): one}) for j in range(s)
+    ]
+    degrees = fmap.target.degrees + fmap.source.degrees
+    eng = membership_engine(ring, graph, degrees, target_quotient_gb, split=t)
     return [eng._vector(g.terms).restricted(t, t + s, -t) for g in eng.basis if g.lead_pos >= t]
 
 

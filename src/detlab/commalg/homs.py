@@ -9,7 +9,8 @@ M-major, with basis degree deg_N(i) - deg_M(k).
 
 Every quotient-module job of detlab has one path here: `block_copies` embeds
 a relation Groebner basis in a direct sum, `image_presentation` presents the
-image of a map into a quotient, and `contains` decides submodule membership.
+image of a map into a quotient, and `contains` decides submodule membership
+by normal forms against a completed `groebner.membership_engine`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
-from .groebner import GroebnerEngine, kernel_vectors, minimal_generators
+from .groebner import kernel_vectors, membership_engine, minimal_generators
 from .modules import FreeModule, ModuleMap, ModulePresentation, Vector
 from .rings import PolyRing
 
@@ -111,22 +112,12 @@ def hom_module(
     return HomModule(pres.generators, pres.relations, ambient, gens)
 
 
-def membership_engine(ring: PolyRing, vectors, degrees, gb) -> GroebnerEngine:
-    """Completed engine on `vectors` over `gb`, a known Groebner basis (seeded)."""
-    eng = GroebnerEngine(ring, degrees)
-    eng.seed(gb)
-    for v in vectors:
-        eng.add_generator(v)
-    eng.complete()
-    return eng
-
-
 def contains(
     ring: PolyRing, gens: Iterable[Vector], degrees, vectors: Iterable[Vector], gb=()
 ) -> bool:
     """Does the submodule generated by `gb` and `gens` contain every one of
-    `vectors`?  `gb` must be a Groebner basis (see `membership_engine`).
-    Stops at the first vector outside it."""
+    `vectors`?  `gb` must be a Groebner basis (`membership_engine` seeds
+    it).  Stops at the first vector outside it."""
     eng = membership_engine(ring, gens, degrees, gb)
     return all(eng.normal_form(v).is_zero() for v in vectors)
 

@@ -63,13 +63,16 @@ class DetSetup:
         return list(enumerate_box(self.l, self.m - self.l))
 
 
-def _all_minors(matrix, k: int) -> list[Polynomial]:
-    m, n = len(matrix), len(matrix[0])
-    out = []
-    for rows in itertools.combinations(range(m), k):
-        for cols in itertools.combinations(range(n), k):
-            out.append(poly_det([[matrix[i][j] for j in cols] for i in rows]))
-    return out
+def _minors(entries: list[list[Polynomial]], k: int) -> list[list[Polynomial]]:
+    """The k-minors of a matrix, rows and columns indexed by lex-ordered
+    k-subsets; the one 0-minor is 1."""
+    one = entries[0][0].ring.one()
+    row_sets = itertools.combinations(range(len(entries)), k)
+    col_sets = list(itertools.combinations(range(len(entries[0])), k))
+    return [
+        [poly_det([[entries[i][j] for j in cs] for i in rs]) if k else one for cs in col_sets]
+        for rs in row_sets
+    ]
 
 
 def generic_setup(m: int, n: int, l: int, char: int = 0) -> DetSetup:
@@ -80,7 +83,7 @@ def generic_setup(m: int, n: int, l: int, char: int = 0) -> DetSetup:
     names = tuple(f"x{i + 1}_{j + 1}" for i in range(m) for j in range(n))
     ring = PolyRing(m * n, char, names)
     matrix = [[ring.variable(i * n + j) for j in range(n)] for i in range(m)]
-    minors = _all_minors(matrix, l + 1)
+    minors = [p for row in _minors(matrix, l + 1) for p in row]
     ideal = [Vector(ring, {(0, mo): c for mo, c in p.terms.items()}) for p in minors]
     gb = groebner(ring, ideal, (0,))
     quotient = ModulePresentation.from_relations(FreeModule(ring, (0,)), gb)
@@ -123,30 +126,11 @@ def exterior_power_matrix(fmap: ModuleMap, k: int) -> ModuleMap:
     cols = fmap.source.rank
     if k < 0 or k > min(rows, cols):
         raise ValueError(f"exterior power {k} out of range")
-    entries = fmap.entries()
-    row_sets = list(itertools.combinations(range(rows), k))
-    col_sets = list(itertools.combinations(range(cols), k))
-    src = FreeModule(
-        ring, tuple(sum(fmap.source.degrees[j] for j in cs) for cs in col_sets)
-    )
-    tgt = FreeModule(
-        ring, tuple(sum(fmap.target.degrees[i] for i in rs) for rs in row_sets)
-    )
-    out = []
-    for rs in row_sets:
-        row = []
-        for cs in col_sets:
-            if k == 0:
-                row.append(ring.one())
-            else:
-                row.append(poly_det([[entries[i][j] for j in cs] for i in rs]))
-        out.append(row)
-    return ModuleMap.from_entries(src, tgt, out)
-
-
-def _identity_map(ring: PolyRing) -> ModuleMap:
-    free = FreeModule(ring, (0,))
-    return ModuleMap.from_entries(free, free, [[ring.one()]])
+    row_sets = itertools.combinations(range(rows), k)
+    col_sets = itertools.combinations(range(cols), k)
+    src = FreeModule(ring, tuple(sum(fmap.source.degrees[j] for j in cs) for cs in col_sets))
+    tgt = FreeModule(ring, tuple(sum(fmap.target.degrees[i] for i in rs) for rs in row_sets))
+    return ModuleMap.from_entries(src, tgt, _minors(fmap.entries(), k))
 
 
 def wedge_alpha_map(setup: DetSetup, shape) -> ModuleMap:
@@ -158,7 +142,7 @@ def wedge_alpha_map(setup: DetSetup, shape) -> ModuleMap:
         )
     cols = conjugate(shape).parts
     phi = phi_dual(setup)
-    out = _identity_map(setup.ring)
+    out = exterior_power_matrix(phi, 0)
     for c in cols:
         out = out.kronecker(exterior_power_matrix(phi, c))
     return out
@@ -178,9 +162,6 @@ class ImageModule:
     fmap: ModuleMap
     presentation: ModulePresentation
 
-    def generic_rank(self) -> int:
-        return prod_binomial(self.setup.l, self.shape)
-
 
 def prod_binomial(l: int, shape) -> int:
     import math
@@ -198,10 +179,6 @@ def wedge_module(setup: DetSetup, shape) -> ImageModule:
     fmap = wedge_alpha_map(setup, shape)
     quotient_gb = block_copies(setup.quotient.relation_vectors, 1, fmap.target.rank)
     return ImageModule(shape, setup, fmap, image_presentation(fmap, quotient_gb))
-
-
-def tilting_summands(setup: DetSetup) -> list[ImageModule]:
-    return [wedge_module(setup, a) for a in setup.box()]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +264,7 @@ class RankCheckResult:
 RANK_POINT_DRAWS = 100  # per trial, before the check fails
 
 
-def rank_check(module: ImageModule, trials: int = 5, seed: int = DEFAULT_SEED) -> RankCheckResult:
+def rank_check(module: ImageModule, trials: int, seed: int) -> RankCheckResult:
     """Specialize the generic matrix to random rank-l points and compare the
     wedge-map rank with the product of column binomials.  A point is u v^T,
     with entries drawn from 1..7 in char 0 and from all of F_p."""
@@ -296,7 +273,7 @@ def rank_check(module: ImageModule, trials: int = 5, seed: int = DEFAULT_SEED) -
     setup = module.setup
     ring = setup.ring
     rng = random.Random(seed)
-    predicted = module.generic_rank()
+    predicted = prod_binomial(setup.l, module.shape)
     ranks = []
     low, high = (0, setup.char - 1) if setup.char else (1, 7)
     reason = None
@@ -337,7 +314,7 @@ def endomorphism_ring(setup: DetSetup) -> EndomorphismRing:
     the Cohen-Macaulay certification route."""
     if setup.m > setup.n:
         raise ValueError("endomorphism certification requires m <= n; flip the setup")
-    summands = tilting_summands(setup)
+    summands = [wedge_module(setup, a) for a in setup.box()]
     # one relation basis per Hom target, shared by its column of blocks
     gbs = [groebner(setup.ring, b.presentation.relation_vectors, b.presentation.gen_degrees)
            for b in summands]

@@ -3,8 +3,9 @@
 Conventions: partitions are weakly decreasing tuples of nonnegative integers,
 canonical form has no trailing zeros.  Weights are arbitrary integer tuples;
 a weight is dominant when weakly decreasing.  The canonical total order on
-partitions is lexicographic on the part tuples.  `straighten` is the one
-dotted Weyl-group sort-and-sign step of the package.
+partitions is lexicographic on the part tuples.  `partitions_of` is the one
+partition enumerator and `straighten` the one dotted Weyl-group
+sort-and-sign step of the package.
 """
 
 from __future__ import annotations
@@ -86,12 +87,17 @@ def conjugate(p) -> Partition:
     return Partition(tuple(sum(1 for x in parts if x > j) for j in range(parts[0])))
 
 
-def _box_parts(u: int, v: int, maxpart: int) -> Iterator[tuple[int, ...]]:
-    yield ()
-    if u <= 0:
+def partitions_of(total: int, max_rows: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of `total` with at most `max_rows` parts, each at most
+    `max_part`, as part tuples in decreasing lexicographic order.  Total 0
+    gives only (); a positive total with `max_rows <= 0` gives nothing."""
+    if total == 0:
+        yield ()
         return
-    for first in range(1, maxpart + 1):
-        for rest in _box_parts(u - 1, v, first):
+    if max_rows <= 0 or total > max_rows * max_part:
+        return
+    for first in range(min(max_part, total), 0, -1):
+        for rest in partitions_of(total - first, max_rows - 1, first):
             yield (first,) + rest
 
 
@@ -99,7 +105,7 @@ def enumerate_box(u: int, v: int) -> tuple[Partition, ...]:
     """All partitions inside the u x v box, lex sorted; binomial(u+v, u) of them."""
     if u < 1 or v < 1:
         raise ValueError("box dimensions must be positive")
-    members = sorted(Partition(t) for t in _box_parts(u, v, v))
+    members = sorted(Partition(p) for size in range(u * v + 1) for p in partitions_of(size, u, v))
     if len(members) != math.comb(u + v, u):
         raise RuntimeError(
             f"{len(members)} partitions in the {u} x {v} box, expected "
@@ -156,22 +162,11 @@ def straighten(v) -> tuple[int, tuple[int, ...]] | None:
 
 
 def all_partitions(max_size: int, max_rows: int | None = None) -> list[Partition]:
-    """Every partition of size at most max_size (optionally bounded rows)."""
+    """Every partition of size at most max_size (optionally with at most
+    max_rows rows), by size and then in decreasing lex order."""
     if max_size < 0:
         raise ValueError(f"need max_size >= 0, got {max_size}")
-    out = [Partition()]
-    for total in range(1, max_size + 1):
-
-        def rec(row, prev, remaining, acc):
-            if remaining == 0:
-                out.append(Partition(tuple(acc)))
-                return
-            if max_rows is not None and row >= max_rows:
-                return
-            for p in range(min(prev, remaining), 0, -1):
-                acc.append(p)
-                rec(row + 1, p, remaining - p, acc)
-                acc.pop()
-
-        rec(0, total, total, [])
-    return out
+    if max_rows is not None and max_rows < 0:
+        raise ValueError(f"need max_rows >= 0, got {max_rows}")
+    rows = max_size if max_rows is None else max_rows
+    return [Partition(p) for total in range(max_size + 1) for p in partitions_of(total, rows, total)]

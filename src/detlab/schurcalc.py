@@ -27,7 +27,9 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .partitions import Partition, canonical_parts, conjugate, straighten, weyl_dim
+from .partitions import (
+    Partition, canonical_parts, conjugate, partitions_of, straighten, weyl_dim,
+)
 
 
 @dataclass
@@ -164,26 +166,11 @@ class SymCharacter:
 
 
 def _candidate_shapes(a: Partition, b: Partition):
-    """Partitions g containing a with |g| = |a|+|b|, g_1 <= a_1 + b_1."""
-    total = a.size + b.size
-    maxrows = len(a) + len(b)
-    maxfirst = a.part(0) + b.part(0)
-
-    def rec(row: int, prev: int, remaining: int, acc: list[int]):
-        if remaining == 0:
-            if a.part(row) == 0:
-                yield Partition(tuple(acc))
-            return
-        if row >= maxrows:
-            return
-        lo = max(a.part(row), 1)
-        hi = min(prev, remaining)
-        for g in range(hi, lo - 1, -1):
-            acc.append(g)
-            yield from rec(row + 1, g, remaining - g, acc)
-            acc.pop()
-
-    yield from rec(0, maxfirst, total, [])
+    """Partitions g containing a with |g| = |a|+|b|, g_1 <= a_1 + b_1, in
+    decreasing lex order."""
+    for parts in partitions_of(a.size + b.size, len(a) + len(b), a.part(0) + b.part(0)):
+        if len(parts) >= len(a) and all(g >= x for g, x in zip(parts, a.parts)):
+            yield Partition(parts)
 
 
 def _lr_fillings(g: Partition, a: Partition, b: Partition) -> int:
@@ -306,23 +293,8 @@ def cauchy_expand(t: int, l1: int, l2: int) -> list[tuple[Partition, tuple[int, 
     rows, each carrying the pair of dimensions (dim L_g V, dim L_g W)."""
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    maxrows = min(l1, l2)
-    out = []
-
-    def rec(row, prev, remaining, acc):
-        if remaining == 0:
-            g = Partition(tuple(acc))
-            out.append((g, (weyl_dim(g.padded(l1)), weyl_dim(g.padded(l2)))))
-            return
-        if row >= maxrows:
-            return
-        for p in range(min(prev, remaining), 0, -1):
-            acc.append(p)
-            rec(row + 1, p, remaining - p, acc)
-            acc.pop()
-
-    rec(0, t, t, [])
-    return sorted(out, key=lambda it: it[0].parts)
+    shapes = [Partition(p) for p in sorted(partitions_of(t, min(l1, l2), t))]
+    return [(g, (weyl_dim(g.padded(l1)), weyl_dim(g.padded(l2)))) for g in shapes]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .commalg import (
     hilbert_series,
 )
 from .detvar import (
-    DEFAULT_SEED,
     certify_end_mcm,
     certify_mcm,
     check_end_dual,
@@ -64,7 +63,7 @@ def tilt_grass_cases(grid: Iterable[tuple[int, int]] = TILT_GRASS_GRID) -> list[
     return out
 
 
-def prop31_cases(max_m: int = 5, delta_max: int = 6) -> list[dict]:
+def prop31_cases(max_m: int, delta_max: int) -> list[dict]:
     out = []
     for m in range(2, max_m + 1):
         for l in range(1, m):
@@ -182,7 +181,7 @@ def end_dual_cases(grid=FLIP_GRID, char: int = 0) -> list[dict]:
     return out
 
 
-def rank_cases(grid=MCM_GRID, seeds: int = 5, base_seed: int = DEFAULT_SEED) -> list[dict]:
+def rank_cases(grid=MCM_GRID, *, seeds: int, base_seed: int) -> list[dict]:
     out = []
     for m, n, l in grid:
         setup = generic_setup(m, n, l)
@@ -203,7 +202,7 @@ def rank_cases(grid=MCM_GRID, seeds: int = 5, base_seed: int = DEFAULT_SEED) -> 
 # Oracle cross-checks
 
 
-def lr_character_cases(max_total: int = 6, nvars: int = 3) -> list[dict]:
+def lr_character_cases(max_total: int, nvars: int) -> list[dict]:
     shapes = all_partitions(max_total)
     bad = 0
     count = 0
@@ -222,7 +221,7 @@ def lr_character_cases(max_total: int = 6, nvars: int = 3) -> list[dict]:
     return [_case(f"lr-vs-character total<={max_total}", bad == 0, cases=count)]
 
 
-def cauchy_cases(t_max: int = 5, l_max: int = 3) -> list[dict]:
+def cauchy_cases(t_max: int, l_max: int) -> list[dict]:
     bad = 0
     count = 0
     for t in range(t_max + 1):
@@ -235,7 +234,7 @@ def cauchy_cases(t_max: int = 5, l_max: int = 3) -> list[dict]:
     return [_case(f"cauchy-identity t<={t_max}", bad == 0, cases=count)]
 
 
-def box_count_cases(max_uv: int = 5) -> list[dict]:
+def box_count_cases(max_uv: int) -> list[dict]:
     bad = 0
     for u in range(1, max_uv + 1):
         for v in range(1, max_uv + 1):
@@ -264,7 +263,7 @@ def resolution_complex_cases(grid=((2, 3, 1), (3, 3, 2))) -> list[dict]:
 # Negative controls
 
 
-def negative_control_cases(inject_corruption: bool = False) -> list[dict]:
+def negative_control_cases(inject_corruption: bool) -> list[dict]:
     out = []
     setup = generic_setup(2, 2, 1)
     ring = setup.ring
@@ -303,8 +302,7 @@ def negative_control_cases(inject_corruption: bool = False) -> list[dict]:
 # Profiles
 
 
-def run_suite(profile: str = "quick", inject_corruption: bool = False,
-              seed: int = DEFAULT_SEED) -> dict:
+def run_suite(profile: str, inject_corruption: bool, seed: int) -> dict:
     cases: list[dict] = []
     if profile == "quick":
         cases += box_count_cases(4)

@@ -16,6 +16,7 @@ import pytest
 from detlab import bott, suite
 from detlab.commalg import FreeModule, ModulePresentation, Vector, free_resolution, hilbert_series
 from detlab.detvar import (
+    DEFAULT_SEED,
     certify_end_mcm,
     certify_mcm,
     check_end_dual,
@@ -111,7 +112,7 @@ def test_criterion_9_oracle_cross_checks():
     cases = (
         suite.lr_character_cases(6, 3)
         + suite.cauchy_cases(5, 3)
-        + suite.rank_cases(seeds=5)
+        + suite.rank_cases(seeds=5, base_seed=DEFAULT_SEED)
         + suite.resolution_complex_cases()
     )
     report(
@@ -122,7 +123,7 @@ def test_criterion_9_oracle_cross_checks():
 
 
 def test_criterion_10_negative_controls():
-    cases = suite.negative_control_cases()
+    cases = suite.negative_control_cases(False)
     ok = all(c["pass"] for c in cases)
     # the child must import this checkout's package, or exit 1 means nothing
     src = str(Path(__file__).resolve().parent.parent / "src")

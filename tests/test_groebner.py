@@ -353,6 +353,59 @@ def test_minimal_generators_matches_reference_property(case):
     )
 
 
+def divides(a, b):
+    """Does the term a divide the term b (same position)?"""
+    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+
+def reference_reduced_basis(ring, vectors, degrees):
+    """Interreduction written out on the completed basis of the same engine
+    run: keep the first of each minimal lead, and reduce each kept element,
+    lead included, by the other kept ones (Vector arithmetic, one top term
+    at a time), then make it monic; sorted by increasing lead."""
+    eng = GroebnerEngine(ring, degrees)
+    for v in vectors:
+        eng.add_generator(v)
+    eng.complete()
+    basis = [eng._vector(g.terms) for g in eng.basis]
+    leads = [max(v.terms, key=top_key) for v in basis]
+    kept = [
+        i
+        for i, a in enumerate(leads)
+        if not any(j < i if b == a else divides(b, a) for j, b in enumerate(leads))
+    ]
+    out = []
+    for i in kept:
+        rest, nf = basis[i], {}
+        while not rest.is_zero():
+            t = max(rest.terms, key=top_key)
+            c = rest.terms[t]
+            j = next((j for j in kept if j != i and divides(leads[j], t)), None)
+            if j is None:
+                nf[t] = c
+                rest = rest - Vector(ring, {t: c})
+                continue
+            q = tuple(x - y for x, y in zip(t[1], leads[j][1]))
+            factor = ring.coeff(c * ring.coeff_inv(basis[j].terms[leads[j]]))
+            rest = rest - basis[j].poly_scaled(term(ring, q, factor))
+        inv = ring.coeff_inv(nf[leads[i]])
+        out.append(Vector(ring, {t: ring.coeff(c * inv) for t, c in nf.items()}))
+    return sorted(out, key=lambda v: top_key(max(v.terms, key=top_key)))
+
+
+@given(graded_inputs())
+@settings(max_examples=150, deadline=None)
+def test_groebner_is_the_reduced_basis(case):
+    ring, vectors, degrees, quotient_gb = case
+    gb = groebner(ring, vectors + quotient_gb, degrees)
+    leads = [max(v.terms, key=top_key) for v in gb]
+    assert all(v.terms[lead] == 1 for v, lead in zip(gb, leads))
+    tails = [t for v, lead in zip(gb, leads) for t in v.terms if t != lead]
+    assert not any(divides(lead, t) for lead in leads for t in tails)
+    assert leads == sorted(leads, key=top_key)
+    assert gb == reference_reduced_basis(ring, vectors + quotient_gb, degrees)
+
+
 def reference_hilbert_series(pres):
     """The series from the leads of the reduced Groebner basis of the
     relations."""

@@ -1,8 +1,8 @@
 """Names earn their place: every function, class and method has a user in
 the program, a `commalg` re-export has a user outside the package, a library
 module imports only names it uses, no package `__init__` hides one of its
-submodules behind another object, and every `commalg` default is one that
-some program call leaves out."""
+submodules behind another object, and every default is one that some
+program call leaves out."""
 
 import ast
 from collections import Counter
@@ -224,22 +224,24 @@ def call_shapes(tree: ast.AST):
             yield name, len(node.args), {k.arg for k in node.keywords}
 
 
-def test_every_commalg_default_is_omitted_by_a_program_call():
+def test_every_default_is_omitted_by_a_program_call():
     """A default that every call overrides serves no caller: each defaulted
-    parameter of a function or method under src/detlab/commalg is left out by
-    at least one call in src/ or bench/.  A call matches by the name it
-    calls (the attribute name for `x.name(...)`), and a call of a class
-    matches that class's `__init__`."""
+    parameter of a function or method under src/detlab is left out by at
+    least one call in src/ or bench/.  A call matches by the name it calls
+    (the attribute name for `x.name(...)`), and a call of a class matches
+    that class's `__init__`.  Command-line defaults live in the option
+    table, not here."""
     calls: dict[str, list] = {}
     for folder in (SRC, BENCH):
         for path in sorted(folder.rglob("*.py")):
             for name, npos, keywords in call_shapes(parse(path)):
                 calls.setdefault(name, []).append((npos, keywords))
     defaults, never_omitted = [], []
-    for path in sorted(COMMALG.glob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
         for key, label, positional, defaulted in defaulted_parameters(parse(path)):
             for param in defaulted:
-                defaults.append(f"{path.name} {label}.{param}")
+                defaults.append(f"{where} {label}.{param}")
                 index = positional.index(param) if param in positional else len(positional)
                 if not any(
                     npos <= index and param not in keywords for npos, keywords in calls.get(key, [])

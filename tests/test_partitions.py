@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from detlab.partitions import (
     all_partitions,
     conjugate,
     enumerate_box,
+    partitions_of,
     straighten,
     weyl_dim,
 )
@@ -139,3 +141,45 @@ def quadratic_straighten(v):
 def test_straighten_matches_the_quadratic_count(v):
     assert straighten(v) == quadratic_straighten(v)
     assert straighten(tuple(v)) == quadratic_straighten(v)
+
+
+def weakly_decreasing(max_rows, max_part):
+    """Brute force: every weakly decreasing tuple of at most `max_rows`
+    entries in 1..max_part, keyed by its sum."""
+    out = {}
+    for k in range(max(max_rows, 0) + 1):
+        for p in itertools.product(range(1, max_part + 1), repeat=k):
+            if all(a >= b for a, b in zip(p, p[1:])):
+                out.setdefault(sum(p), []).append(p)
+    return out
+
+
+def test_partitions_of_matches_brute_force_in_decreasing_lex_order():
+    for max_rows in range(-2, 6):
+        for max_part in range(-2, 7):
+            want = weakly_decreasing(max_rows, max_part)
+            for total in range(-1, 11):
+                got = list(partitions_of(total, max_rows, max_part))
+                assert got == sorted(want.get(total, []), reverse=True), (total, max_rows, max_part)
+
+
+def test_all_partitions_is_by_size_then_decreasing_lex():
+    for max_size, max_rows in [(n, None) for n in range(7)] + [(8, r) for r in range(4)]:
+        want = weakly_decreasing(max_size if max_rows is None else max_rows, max_size)
+        got = [p.parts for p in all_partitions(max_size, max_rows=max_rows)]
+        assert got == [p for total in range(max_size + 1) for p in sorted(want.get(total, []), reverse=True)]
+
+
+def test_all_partitions_rejects_negative_bounds():
+    with pytest.raises(ValueError):
+        all_partitions(-1)
+    with pytest.raises(ValueError):
+        all_partitions(3, max_rows=-1)
+    assert all_partitions(3, max_rows=0) == [Partition()]
+
+
+def test_enumerate_box_is_the_sorted_box():
+    for u in range(1, 5):
+        for v in range(1, 5):
+            want = weakly_decreasing(u, v)
+            assert [p.parts for p in enumerate_box(u, v)] == sorted(p for ps in want.values() for p in ps)

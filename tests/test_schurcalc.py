@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -148,6 +149,42 @@ def test_cauchy_dimension_identity():
             for l2 in (1, 2, 3):
                 total = sum(d1 * d2 for _, (d1, d2) in cauchy_expand(t, l1, l2))
                 assert total == math.comb(l1 * l2 + t - 1, t)
+
+
+def test_cauchy_expand_is_ascending_over_the_row_bound():
+    for t in range(9):
+        for l1 in (1, 2, 3):
+            for l2 in (1, 2, 3):
+                rows = min(l1, l2)
+                want = sorted(
+                    p
+                    for k in range(rows + 1)
+                    for p in itertools.product(range(t, 0, -1), repeat=k)
+                    if sum(p) == t and all(a >= b for a, b in zip(p, p[1:]))
+                )
+                got = cauchy_expand(t, l1, l2)
+                assert [g.parts for g, _ in got] == want
+                assert all(d == (weyl_dim(g.padded(l1)), weyl_dim(g.padded(l2))) for g, d in got)
+
+
+def test_lr_coefficients_come_in_decreasing_lex_order():
+    shapes = all_partitions(8)
+    for a in shapes:
+        for b in shapes:
+            if a.size + b.size > 8:
+                continue
+            out = lr_coefficients(a, b)
+            keys = [g.parts for g in out]
+            assert keys == sorted(keys, reverse=True)
+            # every g contains a and b, and the dimensions over C^8 add up
+            assert all(g.size == a.size + b.size for g in out)
+            assert all(
+                len(g) >= len(p) and all(x >= y for x, y in zip(g.parts, p.parts))
+                for g in out for p in (a, b)
+            )
+            assert sum(c * weyl_dim(g.padded(8)) for g, c in out.items()) == (
+                weyl_dim(a.padded(8)) * weyl_dim(b.padded(8))
+            )
 
 
 def test_schur_character_examples():
