@@ -20,7 +20,8 @@ once, in memos freed with its verdict; weight tables, wedge expansions and
 Weyl dimensions are kept per process and immutable (see `schurcalc`).
 Bott's sort-and-sign and Brauer-Klimyk share `partitions.straighten`.
 
-Everything here is characteristic zero and every report says so.
+Everything here is characteristic zero: every `CheckReport` names that
+assumption in `assumptions`, and the command line reports char 0.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ class CohomologyTable:
         return all(deg <= 0 for deg in self.entries)
 
 
+def _need_grassmannian(l: int, m: int) -> None:
+    """Grass(l, m) with a nonempty l x (m-l) box: raise unless 1 <= l < m."""
+    if not 1 <= l < m:
+        raise ValueError("need 1 <= l < m")
+
+
 def _pure_term(m: int, x: tuple, y: tuple) -> tuple:
     """H^*(L_x(Q) x L_y(R)) on Grass(len(x), m), y dominant: (degree, weight) or ()."""
     if any(a < b for a, b in zip(x, x[1:])):
@@ -80,6 +87,7 @@ def _pure_term(m: int, x: tuple, y: tuple) -> tuple:
 
 def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> CohomologyTable:
     """Cohomology of the pure term L_x(Q) x L_y(R) on Grass(l, m)."""
+    _need_grassmannian(l, m)
     x = tuple(int(v) for v in x)
     y = tuple(int(v) for v in y)
     if len(x) != l or len(y) != m - l:
@@ -131,24 +139,14 @@ class CheckCase:
 
 @dataclass
 class CheckReport:
-    check: str
     parameters: dict
     cases: list[CheckCase]
     passed: bool
     assumptions: tuple[str, ...] = (CHAR_ZERO_NOTE,)
 
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "parameters": self.parameters,
-            "assumptions": list(self.assumptions),
-            "cases": [c.to_json() for c in self.cases],
-            "pass": self.passed,
-        }
 
-
-def _report(check: str, parameters: dict, cases: list[CheckCase]) -> CheckReport:
-    return CheckReport(check, parameters, cases, all(c.passed for c in cases))
+def _report(parameters: dict, cases: list[CheckCase]) -> CheckReport:
+    return CheckReport(parameters, cases, all(c.passed for c in cases))
 
 
 def _case(inputs: tuple, m: int, qsum: SchurSum, memo: dict | None = None) -> CheckCase:
@@ -179,8 +177,7 @@ def _hom_pairs(l: int, m: int, twist: int = 0):
             yield (named[alpha][0], named[beta][1]), qsum
 
 
-def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
-                pairs: list) -> CheckReport:
+def _degreewise(l: int, m: int, n: int, t_max: int, aux_dim: int, pairs: list) -> CheckReport:
     """One case per degree t <= t_max and per (inputs, Q-side sum) pair: the
     pair's sum tensored with Sym_t(aux x Q), aux trivial of dim aux_dim, has
     no higher cohomology."""
@@ -192,14 +189,13 @@ def _degreewise(check: str, l: int, m: int, n: int, t_max: int, aux_dim: int,
         sym = SchurSum(l, {g.padded(l): d for g, (_, d) in cauchy_expand(t, l, aux_dim)})
         for inputs, qsum in pairs:
             cases.append(_case((("t", t), *inputs), m, qsum.tensor(sym, products), terms))
-    return _report(check, {"l": l, "m": m, "n": n, "t_max": t_max}, cases)
+    return _report({"l": l, "m": m, "n": n, "t_max": t_max}, cases)
 
 
 def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
     """Higher cohomology of (wedge^{alpha'}Q)^dual x L_delta(Q) vanishes,
     for alpha in the l x (m-l) box and any shape delta with <= l rows."""
-    if not 1 <= l < m:
-        raise ValueError("need 1 <= l < m")
+    _need_grassmannian(l, m)
     alpha, delta = Partition.of(alpha), Partition.of(delta)
     if not alpha.fits_in_box(l, m - l):
         raise ValueError(f"{alpha.parts} does not fit in the {l} x {m - l} box")
@@ -207,15 +203,16 @@ def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
         raise ValueError(f"{delta.parts} has more than {l} rows")
     qsum = exterior_expand(alpha, l).dual().tensor(SchurSum(l, {delta.padded(l): 1}))
     case = _case((("alpha", alpha.parts), ("delta", delta.parts)), m, qsum)
-    return _report("hom-vanishing", {"l": l, "m": m}, [case])
+    return _report({"l": l, "m": m}, [case])
 
 
 def check_tilting_grass(l: int, m: int) -> CheckReport:
     """No higher self-extensions between box wedge powers of Q: for every
     pair (alpha, beta) in the box, H^{>0}(Hom(wedge^{alpha'}Q, wedge^{beta'}Q)) = 0."""
+    _need_grassmannian(l, m)
     memo: dict = {}
     cases = [_case(inputs, m, qsum, memo) for inputs, qsum in _hom_pairs(l, m)]
-    return _report("tilting-grassmannian", {"l": l, "m": m}, cases)
+    return _report({"l": l, "m": m}, cases)
 
 
 def check_tilting_springer(l: int, m: int, n: int, t_max: int) -> CheckReport:
@@ -224,7 +221,7 @@ def check_tilting_springer(l: int, m: int, n: int, t_max: int) -> CheckReport:
     has no higher cohomology, for t <= t_max."""
     if not (1 <= l < min(m, n)):
         raise ValueError("need 1 <= l < min(m, n)")
-    return _degreewise("tilting-springer", l, m, n, t_max, n, list(_hom_pairs(l, m)))
+    return _degreewise(l, m, n, t_max, n, list(_hom_pairs(l, m)))
 
 
 def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int) -> CheckReport:
@@ -232,10 +229,9 @@ def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int) -> CheckReport
     for the endomorphism module to be maximal Cohen-Macaulay; requires m <= n."""
     if m > n:
         raise ValueError("requires m <= n")
-    if not 1 <= l < m:
-        raise ValueError("need 1 <= l < m")
+    _need_grassmannian(l, m)
     pairs = list(_hom_pairs(l, m, n - m))
-    return _degreewise("dualizing-vanishing", l, m, n, t_max, n, pairs)
+    return _degreewise(l, m, n, t_max, n, pairs)
 
 
 def check_fm_kernel(l: int, m: int, n: int, t_max: int) -> CheckReport:
@@ -244,7 +240,6 @@ def check_fm_kernel(l: int, m: int, n: int, t_max: int) -> CheckReport:
     trivial l-dimensional factor (a fiber of the second quotient bundle)."""
     if m > n:
         raise ValueError("requires m <= n")
-    if not 1 <= l < m:
-        raise ValueError("need 1 <= l < m")
+    _need_grassmannian(l, m)
     pairs = [((("alpha", a.parts),), exterior_expand(a, l).dual()) for a in enumerate_box(l, m - l)]
-    return _degreewise("fm-kernel-vanishing", l, m, n, t_max, l, pairs)
+    return _degreewise(l, m, n, t_max, l, pairs)

@@ -432,7 +432,10 @@ def kernel_vectors(fmap: ModuleMap, target_quotient_gb: Sequence[Vector]) -> lis
     elements supported in the source alone.  So the target-led elements and
     a Groebner basis of the source-led ones' span are a Groebner basis of the
     graph module, and by elimination the source-led elements, returned in
-    basis order and not interreduced, span the kernel.
+    basis order and not interreduced, span the kernel.  The order puts every
+    target position above every source position, so each term of a
+    source-led element lies in the source block, and shifting its positions
+    down by the target rank reads it in the source.
     """
     ring = fmap.source.ring
     t = fmap.target.rank
@@ -443,7 +446,7 @@ def kernel_vectors(fmap: ModuleMap, target_quotient_gb: Sequence[Vector]) -> lis
     ]
     degrees = fmap.target.degrees + fmap.source.degrees
     eng = membership_engine(ring, graph, degrees, target_quotient_gb, split=t)
-    return [eng._vector(g.terms).restricted(t, t + s, -t) for g in eng.basis if g.lead_pos >= t]
+    return [eng._vector(g.terms).shifted_positions(-t) for g in eng.basis if g.lead_pos >= t]
 
 
 def minimal_generators(

@@ -33,10 +33,6 @@ def _mono_numerator(gens: tuple[tuple[int, ...], ...], cache: dict) -> dict[int,
     hit = cache.get(gens)
     if hit is not None:
         return hit
-    if len(gens) == 1:
-        out = {0: 1, sum(gens[0]): -1}
-        cache[gens] = out
-        return out
     nvars = len(gens[0])
     supports = [tuple(i for i, e in enumerate(m) if e) for m in gens]
     pairwise_coprime = all(

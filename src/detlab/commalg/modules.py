@@ -57,12 +57,6 @@ class Vector(Terms):
     def shifted_positions(self, offset: int) -> "Vector":
         return Vector(self.ring, {(p + offset, m): c for (p, m), c in self.terms.items()})
 
-    def restricted(self, lo: int, hi: int, offset: int) -> "Vector":
-        return Vector(
-            self.ring,
-            {(p + offset, m): c for (p, m), c in self.terms.items() if lo <= p < hi},
-        )
-
     def __repr__(self):
         return f"Vector({dict(sorted(self.terms.items()))})"
 

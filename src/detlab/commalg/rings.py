@@ -143,6 +143,8 @@ class Polynomial(Terms):
     __slots__ = ()
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if other.ring != self.ring:
+            raise ValueError(f"product of polynomials over {self.ring} and {other.ring}")
         acc: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -154,9 +156,6 @@ class Polynomial(Terms):
         ring = self.ring
         c = ring.coeff(c)
         return Polynomial(ring, ring.coeffs({m: v * c for m, v in self.terms.items()}))
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __str__(self) -> str:
         if not self.terms:

@@ -9,7 +9,9 @@ are computed combinatorially, by enumerating skew semistandard fillings whose
 reverse reading word is a lattice word, and serve as the independent
 reference for those tensor products.  The tableau character oracle
 (semistandard Young tableaux) cross-checks LR; LR and the character oracle
-never share code paths.
+never share code paths.  A character is a `commalg` `Polynomial` over Q in
+nvars variables, so the cross-check multiplies, adds and compares with the
+polynomial arithmetic.
 
 Tables are computed once per process and kept as immutable tuples: the
 weight table of each (shape, rank), enumerated from tableaux
@@ -27,6 +29,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .commalg import Polynomial, PolyRing
 from .partitions import (
     Partition, canonical_parts, conjugate, partitions_of, straighten, weyl_dim,
 )
@@ -100,9 +103,6 @@ class SchurSum:
         s.add((0,) * rank, 1)
         return s
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SchurSum) and self.rank == other.rank and self.terms == other.terms
-
 
 def _irreducible_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple:
     """Brauer-Klimyk for two partitions of length rank: every weight mu of the
@@ -121,44 +121,6 @@ def _irreducible_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple:
             z = tuple(a - r for a, r in zip(v, rho))
             acc[z] = acc.get(z, 0) + (-1) ** inversions * k
     return tuple((z, k) for z, k in acc.items() if k)
-
-
-@dataclass
-class SymCharacter:
-    """Symmetric polynomial as an exponent-vector table (the tableau oracle)."""
-
-    nvars: int
-    coeffs: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    def add(self, expo: tuple[int, ...], c: int) -> None:
-        if c == 0:
-            return
-        cur = self.coeffs.get(expo, 0) + c
-        if cur:
-            self.coeffs[expo] = cur
-        else:
-            del self.coeffs[expo]
-
-    def __mul__(self, other: "SymCharacter") -> "SymCharacter":
-        if other.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        out = SymCharacter(self.nvars)
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out.add(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return out
-
-    def __add__(self, other: "SymCharacter") -> "SymCharacter":
-        out = SymCharacter(self.nvars, dict(self.coeffs))
-        for e, c in other.coeffs.items():
-            out.add(e, c)
-        return out
-
-    def scaled(self, k: int) -> "SymCharacter":
-        return SymCharacter(self.nvars, {e: k * c for e, c in self.coeffs.items()} if k else {})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymCharacter) and self.nvars == other.nvars and self.coeffs == other.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +302,10 @@ def _character_table(parts: tuple[int, ...], nvars: int) -> tuple[tuple[tuple[in
     return tuple(counts.items())
 
 
-def schur_character(g, nvars: int) -> SymCharacter:
-    """Schur polynomial s_g(x_1..x_nvars) by tableau enumeration; zero when g
-    has more than nvars rows.  The result is a fresh copy of the cached weight
-    table, so mutating it changes no later answer."""
+def schur_character(g, nvars: int) -> Polynomial:
+    """Schur polynomial s_g(x_1..x_nvars) over Q, by tableau enumeration; zero
+    when g has more than nvars rows.  Its terms are a fresh copy of the cached
+    weight table, so mutating them changes no later answer."""
     if nvars < 1:
         raise ValueError("need at least one variable")
-    return SymCharacter(nvars, dict(_character_table(Partition.of(g).parts, nvars)))
+    return Polynomial(PolyRing(nvars), dict(_character_table(Partition.of(g).parts, nvars)))

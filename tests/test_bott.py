@@ -259,4 +259,3 @@ def test_fm_kernel_examples():
 def test_reports_declare_characteristic_zero():
     rep = check_tilting_grass(1, 2)
     assert any("characteristic" in a for a in rep.assumptions)
-    assert rep.to_json()["assumptions"]

@@ -317,8 +317,23 @@ def test_l_zero_is_usage_error():
         assert r.stderr.startswith("error: ")
 
 
+def test_grassmannian_outside_1_le_l_lt_m_is_usage_error():
+    # Grass(l, m) needs 1 <= l < m: the checks and the Bott table say so by
+    # name, before any box or weight is built
+    for args in (
+        ("check-tilt-grass", "--l", "0", "--m", "3"),
+        ("check-tilt-grass", "--l", "3", "--m", "3"),
+        ("bott", "--l", "2", "--m", "1", "--x", "0,0", "--y", "0"),
+    ):
+        r = run(*args, "--json")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert r.stderr == "error: need 1 <= l < m\n"
+
+
 def test_check_rank_over_f2_returns():
-    # the rank-2 points of F_2^{3x3} need draws that include 0
+    # over F_2 the points are rank 2 by construction, with entries 0 and 1
     r = run(
         "check-rank", "--m", "3", "--n", "3", "--l", "2", "--alpha", "1",
         "--trials", "1", "--char", "2", "--json", timeout=60,

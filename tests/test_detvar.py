@@ -16,6 +16,7 @@ from detlab.commalg import (
     Vector,
     hilbert_series,
     hom_module,
+    matrix_rank,
     poly_det,
 )
 from detlab.commalg.groebner import groebner
@@ -221,16 +222,35 @@ def test_rank_check_over_prime_field():
     assert rank_check(mod, trials=2, seed=9).passed
 
 
-def test_rank_check_exhausted_draws_fail_with_reason(monkeypatch):
+@pytest.mark.parametrize("char", [0, 2, 3, 32003])
+@pytest.mark.parametrize("mnl", [(2, 3, 1), (3, 3, 1), (3, 4, 2)])
+def test_rank_check_points_have_rank_l(mnl, char, monkeypatch):
+    """Every sampled point is a rank-l matrix, by elimination, and every
+    trial on every box shape gives the predicted rank, in char 0 and over
+    F_2, F_3 and F_32003."""
     import detlab.detvar as dv
 
-    mod = wedge_module(generic_setup(2, 2, 1), (1,))
-    monkeypatch.setattr(dv, "matrix_rank", lambda ring, rows: 0)
-    rc = rank_check(mod, trials=2, seed=DEFAULT_SEED)
-    assert not rc.passed
-    assert rc.ranks == []
-    assert rc.reason == f"no rank-1 point in {dv.RANK_POINT_DRAWS} draws"
-    assert rc.to_json()["reason"] == rc.reason
+    m, n, l = mnl
+    s = generic_setup(m, n, l, char=char)
+    points = []
+    real = dv.random_rank
+
+    def recorded(fmap, point):
+        points.append(point)
+        return real(fmap, point)
+
+    monkeypatch.setattr(dv, "random_rank", recorded)
+    trials = 3
+    for alpha in s.box():
+        points.clear()
+        rc = rank_check(wedge_module(s, alpha), trials=trials, seed=DEFAULT_SEED)
+        assert rc.predicted == prod_binomial(l, alpha)
+        assert rc.ranks == [rc.predicted] * trials, (alpha, rc.ranks)
+        assert rc.passed
+        assert len(points) == trials
+        for point in points:
+            rows = [point[i * n:(i + 1) * n] for i in range(m)]
+            assert matrix_rank(s.ring, rows) == l, (alpha, rows)
 
 
 def test_rank_check_rejects_zero_trials():
@@ -329,7 +349,7 @@ def test_flip_setup_transposes():
 def test_check_flip_small():
     for m, n, l in [(2, 2, 1), (2, 3, 1)]:
         rep = check_flip(generic_setup(m, n, l))
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.summands
 
 
 def test_box_complement_examples():
@@ -356,9 +376,14 @@ FROZEN_REPORTS = Path(__file__).resolve().parent / "data" / "frozen_reports.json
 def test_end_dual_and_flip_reports_are_frozen(m, n, l, char):
     frozen = json.loads(FROZEN_REPORTS.read_text())
     s = generic_setup(m, n, l, char=char)
-    for name, check in (("check-end-dual", check_end_dual), ("check-flip", check_flip)):
-        want = json.dumps(frozen[f"{name} m={m} n={n} l={l} char={char}"], indent=2)
-        assert json.dumps(check(s).to_json(), indent=2) == want
+    want = json.dumps(frozen[f"check-end-dual m={m} n={n} l={l} char={char}"], indent=2)
+    assert json.dumps(check_end_dual(s).to_json(), indent=2) == want
+    # the frozen flip reports also name the setup; the report carries only
+    # its cases and verdict
+    want = frozen[f"check-flip m={m} n={n} l={l} char={char}"]
+    rep = check_flip(s)
+    assert [c.to_json() for c in rep.summands] == want["cases"]
+    assert rep.passed is want["pass"]
 
 
 def test_check_end_dual_complement_outside_box_fails(monkeypatch):

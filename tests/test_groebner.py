@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -429,6 +431,44 @@ def test_hilbert_series_matches_reduced_basis_leads(case):
     pres = ModulePresentation.from_relations(FreeModule(ring, degrees), vectors + quotient_gb)
     got, want = hilbert_series(pres), reference_hilbert_series(pres)
     assert (got.numerator, got.denom_power) == (want.numerator, want.denom_power)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(nvars, minimal generators) of a monomial ideal in 1..4 variables:
+    any generators, one generator, or pairwise coprime generators."""
+    nvars = draw(st.integers(1, 4))
+    mono = st.tuples(*[st.integers(0, 3)] * nvars)
+    kind = draw(st.sampled_from(["any", "one", "coprime"]))
+    if kind == "any":
+        gens = draw(st.lists(mono, max_size=5))
+    elif kind == "one":
+        gens = [draw(mono)]
+    else:
+        # each variable joins one generator's support, or none (-1)
+        owner = draw(st.tuples(*[st.integers(-1, nvars - 1)] * nvars))
+        gens = [
+            tuple(draw(st.integers(1, 3)) if owner[i] == g else 0 for i in range(nvars))
+            for g in sorted(set(owner) - {-1})
+        ]
+    return nvars, _minimalize(gens)
+
+
+@given(monomial_ideals())
+@settings(max_examples=200, deadline=None)
+def test_mono_numerator_counts_standard_monomials(case):
+    """Numerator / (1-t)^nvars counts, in each degree through 6, the
+    monomials that no generator divides."""
+    nvars, gens = case
+    num = _mono_numerator(gens, {})
+    for d in range(7):
+        standard = sum(
+            1
+            for e in itertools.product(range(d + 1), repeat=nvars)
+            if sum(e) == d and not any(all(a >= b for a, b in zip(e, g)) for g in gens)
+        )
+        series = sum(c * math.comb(d - k + nvars - 1, nvars - 1) for k, c in num.items() if k <= d)
+        assert series == standard, (gens, d)
 
 
 def test_module_groebner_over_prime_field():

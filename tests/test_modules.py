@@ -103,6 +103,15 @@ def test_polynomial_arithmetic_matches_reference(char):
             assert_field_coefficients(got)
 
 
+@pytest.mark.parametrize("other", [PolyRing(3), PolyRing(2, 2), PolyRing(2, 0, ("x", "y"))])
+def test_product_over_different_rings_raises(other):
+    f = PolyRing(2).variable(0)
+    with pytest.raises(ValueError):
+        f * other.variable(1)
+    with pytest.raises(ValueError):
+        other.variable(1) * f
+
+
 @pytest.mark.parametrize("char", CHARS)
 def test_vector_arithmetic_matches_reference(char):
     ring = PolyRing(2, char)

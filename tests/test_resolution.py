@@ -79,7 +79,10 @@ def dropped_generator(res, k):
     maps[k - 1] = ModuleMap(src, d.target, d.columns[:-1])
     if k < len(maps):
         nxt = maps[k]
-        cols = [col.restricted(0, src.rank, 0) for col in nxt.columns]
+        cols = [
+            Vector(col.ring, {(p, mo): c for (p, mo), c in col.terms.items() if p < src.rank})
+            for col in nxt.columns
+        ]
         maps[k] = ModuleMap(nxt.source, src, cols)
     return Resolution(res.f0, maps)
 

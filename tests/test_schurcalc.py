@@ -188,9 +188,9 @@ def test_lr_coefficients_come_in_decreasing_lex_order():
 
 
 def test_schur_character_examples():
-    assert schur_character((1,), 2).coeffs == {(1, 0): 1, (0, 1): 1}
-    assert schur_character((2, 1), 2).coeffs == {(2, 1): 1, (1, 2): 1}
-    assert schur_character((1, 1, 1), 2).coeffs == {}
+    assert schur_character((1,), 2).terms == {(1, 0): 1, (0, 1): 1}
+    assert schur_character((2, 1), 2).terms == {(2, 1): 1, (1, 2): 1}
+    assert schur_character((1, 1, 1), 2).terms == {}
 
 
 def test_schur_character_hands_out_a_fresh_copy():
@@ -199,9 +199,9 @@ def test_schur_character_hands_out_a_fresh_copy():
         expo = tuple(sum(row.count(v) for row in tab) for v in (1, 2, 3))
         expected[expo] = expected.get(expo, 0) + 1
     poisoned = schur_character((2, 1, 0), 3)
-    poisoned.add((2, 1, 0), 5)
-    poisoned.add((7, 0, 0), 1)
-    assert schur_character((2, 1), 3).coeffs == expected
+    poisoned.terms[2, 1, 0] += 5
+    poisoned.terms[7, 0, 0] = 1
+    assert schur_character((2, 1), 3).terms == expected
 
 
 def test_character_table_is_immutable_and_shared_by_trailing_zeros():
@@ -234,8 +234,8 @@ def test_cold_and_warm_reports_are_byte_identical(capsys):
 
 def test_character_symmetry():
     c = schur_character((3, 1), 3)
-    for e, v in c.coeffs.items():
-        assert c.coeffs[tuple(sorted(e))] == v
+    for e, v in c.terms.items():
+        assert c.terms[tuple(sorted(e))] == v
 
 
 def test_schur_sum_drops_and_validates():
@@ -333,7 +333,7 @@ def sum_level_brauer_klimyk(s: SchurSum, t: SchurSum) -> SchurSum:
     weights: dict = {}
     for w, mult in small.terms.items():
         c = w[-1]
-        for expo, k in schur_character(tuple(v - c for v in w), s.rank).coeffs.items():
+        for expo, k in schur_character(tuple(v - c for v in w), s.rank).terms.items():
             mu = tuple(e + c for e in expo)
             weights[mu] = weights.get(mu, 0) + mult * k
     rho = tuple(range(s.rank - 1, -1, -1))
