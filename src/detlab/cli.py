@@ -9,7 +9,9 @@ with the literal "0" for the empty partition.
 
 Each subcommand is declared once in `build_parser`, with its handler as the
 `run` default that `main` calls; the subcommands on one determinantal setup
-share --m --n --l --char through `_on_setup`.
+share --m --n --l --char through `_on_setup`.  The suite runner `_suite`
+parses each command line of a `suite.command_lines` profile and calls that
+line's own handler, one case a line.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import time
 from functools import partial
 
 from . import __version__, bott, suite
-from .commalg import free_resolution, presentation_to_json
+from .commalg import free_resolution, hilbert_series, presentation_to_json
 from .detvar import (
-    DEFAULT_SEED,
     certify_end_mcm,
     certify_mcm,
     check_end_dual,
@@ -39,6 +40,7 @@ from .partitions import Partition, all_partitions, enumerate_box
 from .schurcalc import lr_coefficients
 
 REPORT_VERSION = 1
+DEFAULT_SEED = 20240611
 
 
 def parse_shape(text: str) -> Partition:
@@ -155,6 +157,9 @@ def _build_talpha(args, setup):
 
 
 def _resolve(args, setup):
+    """Passes when the Euler series of the resolution's Betti table is the
+    module's Hilbert series (`free_resolution` itself raises when d o d is
+    not 0)."""
     mod = wedge_module(setup, parse_shape(args.alpha))
     res = free_resolution(mod.presentation)
     betti = [
@@ -167,7 +172,8 @@ def _resolve(args, setup):
         "betti_ranks": res.betti_ranks(),
         "betti": betti,
     }
-    return {"alpha": list(mod.shape.parts)}, [case], True
+    passed = res.euler_series() == hilbert_series(mod.presentation)
+    return {"alpha": list(mod.shape.parts)}, [case], passed
 
 
 def _check_mcm(args, setup):
@@ -219,12 +225,20 @@ def _check_rank(args, setup):
 
 
 def _suite(args):
-    result = suite.run_suite(args.profile, args.inject_corruption, args.seed)
+    """Each command line of the profile through its own handler, one case a
+    line, then the cross-checks that have no subcommand."""
+    parser = build_parser()
+    cases = []
+    for line in suite.command_lines(args.profile, args.seed):
+        sub = parser.parse_args(line.split())
+        _, _, sub_cases, passed = sub.run(sub)
+        cases.append({"name": line, "pass": bool(passed), "cases": len(sub_cases)})
+    cases += suite.cross_check_cases(args.profile, args.inject_corruption)
     return (
         {"profile": args.profile, "inject_corruption": args.inject_corruption},
         0,
-        result["cases"],
-        result["pass"],
+        cases,
+        all(c["pass"] for c in cases),
     )
 
 

@@ -56,16 +56,14 @@ class PolyRing:
     def coeff(self, value):
         """`value` as a coefficient: the one normalization, applied once to
         each plain sum (only the Groebner engine's reduction loops reduce
-        inline).  Takes an int, a `Fraction` or a string `Fraction` reads,
-        such as "3/2"; a float raises TypeError.  Over F_p, a/b is
+        inline).  Takes an int or a `Fraction`; any other type, a float or
+        a string included, raises TypeError.  Over F_p, a/b is
         a * b^-1 mod p, and ZeroDivisionError is raised when p divides b."""
         p = self.char
         if type(value) is int:
             return value % p if p else value
         if type(value) is not Fraction:
-            if isinstance(value, float):
-                raise TypeError(f"float coefficient {value!r}: use an int, a Fraction or a string")
-            value = Fraction(value)
+            raise TypeError(f"coefficient {value!r}: use an int or a Fraction")
         if not p:
             return integral(value)
         if value.denominator % p == 0:

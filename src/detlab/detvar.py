@@ -34,8 +34,6 @@ from .commalg import (
 from .commalg.groebner import groebner
 from .partitions import Partition, conjugate, enumerate_box
 
-DEFAULT_SEED = 20240611
-
 
 # ---------------------------------------------------------------------------
 # Setup

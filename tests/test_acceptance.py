@@ -11,22 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from detlab import bott, suite
-from detlab.commalg import FreeModule, ModulePresentation, Vector, free_resolution, hilbert_series
-from detlab.detvar import (
-    DEFAULT_SEED,
-    certify_end_mcm,
-    certify_mcm,
-    check_end_dual,
-    check_flip,
-    endomorphism_ring,
-    generic_setup,
-    rank_check,
-    wedge_module,
-)
-from detlab.partitions import enumerate_box
+from detlab import suite
+from detlab.cli import DEFAULT_SEED, build_parser
 
 
 def report(name: str, passed: bool, detail: str = ""):
@@ -35,21 +21,34 @@ def report(name: str, passed: bool, detail: str = ""):
     assert passed, f"{name} failed: {detail}"
 
 
+def full_profile(*subcommands: str) -> list[tuple[str, bool, list]]:
+    """(line, passed, cases) of each full-profile command line of the given
+    subcommands, run through that subcommand's own CLI handler."""
+    parser = build_parser()
+    out = []
+    for line in suite.command_lines("full", DEFAULT_SEED):
+        args = parser.parse_args(line.split())
+        if args.subcommand in subcommands:
+            _, _, cases, passed = args.run(args)
+            out.append((line, passed, cases))
+    return out
+
+
 def test_criterion_1_tilting_on_grassmannians():
-    cases = suite.tilt_grass_cases([(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 6)])
+    lines = full_profile("check-tilt-grass")
     report(
         "1 ext-vanishing between box wedge bundles",
-        all(c["pass"] for c in cases),
-        f"({sum(c['pairs'] for c in cases)} pairs)",
+        all(passed for _, passed, _ in lines),
+        f"({sum(len(cases) for _, _, cases in lines)} pairs)",
     )
 
 
 def test_criterion_2_hom_vanishing_grid():
-    cases = suite.prop31_cases(max_m=5, delta_max=6)
+    lines = full_profile("check-prop31")
     report(
         "2 dual-wedge against Schur bundle vanishing, m<=5 |delta|<=6",
-        all(c["pass"] for c in cases),
-        f"({sum(c['cases'] for c in cases)} bundles)",
+        all(passed for _, passed, _ in lines),
+        f"({sum(len(cases) for _, _, cases in lines)} bundles)",
     )
 
 
@@ -63,62 +62,59 @@ def test_criterion_3_grass24_shadow():
 
 
 def test_criterion_4_degreewise_vanishing():
-    grid = [(1, 2, 2), (1, 2, 3), (1, 3, 3), (2, 3, 3), (2, 3, 4)]
-    cases = suite.degreewise_cases(grid, 3)
+    lines = full_profile("check-tilt-springer", "check-dualizing", "check-fm")
     report(
         "4 degreewise vanishing (total space / dualizing twist / kernel), tmax=3",
-        all(c["pass"] for c in cases),
-        f"({len(cases)} grids)",
+        all(passed for _, passed, _ in lines),
+        f"({len(lines)} grids)",
     )
 
 
 def test_criterion_5_wedge_modules_are_mcm():
-    grid = [(2, 2, 1), (2, 3, 1), (2, 4, 1), (3, 3, 1), (3, 3, 2), (3, 4, 2)]
-    cases = suite.mcm_cases(grid, char=0)
-    detail = "; ".join(f"{c['name']}: pd={c['pd']}" for c in cases if not c["pass"])
+    lines = full_profile("check-mcm")
+    modules = [(line, case) for line, _, cases in lines for case in cases]
+    detail = "; ".join(
+        f"{line} alpha={case['shape']}: pd={case['pd']}" for line, case in modules if not case["pass"]
+    )
     report(
         "5 projective dimension equals codimension for every box shape",
-        all(c["pass"] for c in cases),
-        detail or f"({len(cases)} modules, exact integer equality)",
+        all(passed for _, passed, _ in lines),
+        detail or f"({len(modules)} modules, exact integer equality)",
     )
 
 
 def test_criterion_6_endomorphism_ring_mcm():
-    cases = suite.end_mcm_cases([(2, 2, 1), (2, 3, 1), (3, 3, 2), (3, 3, 1)], char=0)
+    lines = full_profile("check-end-mcm")
     report(
         "6 endomorphism blocks all have pd = codim (incl. 3,3,1 blockwise)",
-        all(c["pass"] for c in cases),
-        f"({len(cases)} setups)",
+        all(passed for _, passed, _ in lines),
+        f"({len(lines)} setups)",
     )
 
 
 def test_criterion_7_flip_duality():
-    cases = suite.flip_cases([(2, 2, 1), (2, 3, 1), (3, 3, 2)], char=0)
+    lines = full_profile("check-flip")
     report(
         "7 transpose-side summands are the duals (surjective + equal series)",
-        all(c["pass"] for c in cases),
+        all(passed for _, passed, _ in lines),
     )
 
 
 def test_criterion_8_end_self_duality():
-    cases = suite.end_dual_cases([(2, 2, 1), (2, 3, 1), (3, 3, 2)], char=0)
+    lines = full_profile("check-end-dual")
     report(
         "8 dual endomorphism series equal + box-complement involution",
-        all(c["pass"] for c in cases),
+        all(passed for _, passed, _ in lines),
     )
 
 
 def test_criterion_9_oracle_cross_checks():
-    cases = (
-        suite.lr_character_cases(6, 3)
-        + suite.cauchy_cases(5, 3)
-        + suite.rank_cases(seeds=5, base_seed=DEFAULT_SEED)
-        + suite.resolution_complex_cases()
-    )
+    verdicts = [c["pass"] for c in suite.lr_character_cases(6, 3) + suite.cauchy_cases(5, 3)]
+    verdicts += [passed for _, passed, _ in full_profile("check-rank", "resolve")]
     report(
-        "9 oracle cross-checks (LR/character, Cauchy identity, ranks, d o d = 0)",
-        all(c["pass"] for c in cases),
-        f"({len(cases)} groups)",
+        "9 oracle cross-checks (LR/character, Cauchy identity, ranks, Euler series)",
+        all(verdicts),
+        f"({len(verdicts)} groups)",
     )
 
 

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from detlab.cli import build_parser
-from detlab.detvar import DEFAULT_SEED
+from detlab import cli, suite
+from detlab.cli import DEFAULT_SEED, build_parser
+from detlab.commalg import FreeModule, ModuleMap, free_resolution
+from detlab.commalg.resolution import Resolution
 
 CMD = [sys.executable, "-m", "detlab"]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -431,6 +433,45 @@ def test_resolve_subcommand():
     report = json.loads(r.stdout)
     assert report["cases"][0]["pd"] == 2
     assert report["cases"][0]["betti_ranks"] == [1, 3, 2]
+
+
+def test_resolve_fails_when_the_betti_table_misses_the_hilbert_series(monkeypatch, capsys):
+    """A resolution whose last differential lost a column still composes
+    to zero, so only the Euler-series comparison can catch it."""
+
+    def truncated(pres):
+        res = free_resolution(pres)
+        last = res.maps[-1]
+        source = FreeModule(last.source.ring, last.source.degrees[:-1])
+        short = ModuleMap(source, last.target, last.columns[:-1])
+        return Resolution(res.f0, res.maps[:-1] + [short])
+
+    monkeypatch.setattr(cli, "free_resolution", truncated)
+    code = cli.main(["resolve", "--m", "3", "--n", "3", "--l", "1", "--alpha", "2", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, json.loads(out)["pass"], err) == (1, False, "")
+
+
+PROFILE_SUBCOMMANDS = {
+    "partitions", "check-tilt-grass", "check-prop31", "check-tilt-springer",
+    "check-dualizing", "check-fm", "check-mcm", "check-end-mcm", "check-flip",
+    "check-end-dual", "check-rank", "resolve",
+}
+
+
+def test_profiles_are_command_lines_of_every_checker():
+    # a family dropped from the full profile fails here by name
+    parser = build_parser()
+    names = {
+        profile: {
+            parser.parse_args(line.split()).subcommand
+            for line in suite.command_lines(profile, DEFAULT_SEED)
+        }
+        for profile in ("quick", "full")
+    }
+    assert names["quick"] <= names["full"] == PROFILE_SUBCOMMANDS
+    with pytest.raises(ValueError):
+        suite.command_lines("medium", DEFAULT_SEED)
 
 
 def test_partitions_subcommand():

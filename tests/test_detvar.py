@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from detlab.bott import bott_cohomology
+from detlab.cli import DEFAULT_SEED
 from detlab.commalg import (
     FreeModule,
     ModuleMap,
@@ -21,7 +22,6 @@ from detlab.commalg import (
 )
 from detlab.commalg.groebner import groebner
 from detlab.detvar import (
-    DEFAULT_SEED,
     ImageModule,
     box_complement,
     certify_end_mcm,
