@@ -1,10 +1,9 @@
 """Exact commutative algebra: Groebner bases, resolutions, Hilbert series, Hom."""
 
-from .groebner import GroebnerEngine, kernel_vectors, minimal_generators
+from .groebner import NO_QUOTIENT, BlockBasis, GroebnerEngine, kernel_vectors, minimal_generators
 from .hilbert import hilbert_series
 from .homs import (
     HomModule,
-    block_copies,
     contains,
     hom_module,
     image_presentation,

@@ -35,7 +35,11 @@ reduce mod p inline, and `_vector`, the engine's one exit, turns an integral
 Every completed engine is built by `membership_engine`: seed a known
 Groebner basis, add the generators, complete.  `groebner` reads the reduced
 basis off one, `kernel_vectors` the source-led elements of an elimination
-one, and `hilbert_series` and `contains` use one as it is.
+one, and `hilbert_series` and `contains` use one as it is.  The known basis
+is a `BlockBasis`.  The packed encoding is affine in the position, so `seed`
+packs each base vector once and lists that element, in base order, under
+every block's slot (`t - lead` carries the offset into the tail); a pair's
+lcm and pending entry sit at its newer element's position.
 
 Pair management follows Gebauer-Moller.  The coprime (product) criterion is
 only applied when both elements are supported in a single position, where the
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from dataclasses import dataclass
 from itertools import groupby, islice
 from typing import Iterable, Sequence
 
@@ -130,6 +135,18 @@ class TermCodec:
         return ((self.exp_max - (gk & self.exp_mask)) + self.exp_max) & self.guards
 
 
+@dataclass(frozen=True)
+class BlockBasis:
+    """Groebner basis of N^blocks' relations: block k holds N's `gb` shifted by k*rank."""
+
+    gb: Sequence[Vector]
+    rank: int
+    blocks: int
+
+
+NO_QUOTIENT = BlockBasis((), 0, 0)
+
+
 class _Elt:
     """Basis element: packed terms, lead first, plus precomputed lead data."""
 
@@ -172,6 +189,7 @@ class GroebnerEngine:
         # packed position field -> {(i, j): packed lcm} of pairs not yet
         # processed or dropped
         self._pending: dict[int, dict[tuple[int, int], int]] = {}
+        self._blocks = 0  # blocks sharing the seeded elements
 
     # -- packing at the boundary -------------------------------------------------
     def _pack(self, terms: dict) -> dict:
@@ -271,7 +289,8 @@ class GroebnerEngine:
             return
         guards, div_bits = codec.guards, codec.div_bits
         peers = [g for g in self._by_pos[t.slot] if g is not t]
-        lcms = {g.idx: codec.lcm(g.lead, t.lead) for g in peers}
+        # at t's position: a seeded peer may sit at a lower block's position
+        lcms = {g.idx: codec.lcm(t.lead, g.lead) for g in peers}
         pending = self._pending.setdefault(t.slot, {})
 
         # B criterion: drop pending pairs strictly covered by the new element
@@ -323,17 +342,23 @@ class GroebnerEngine:
         return elt
 
     # -- public driving -------------------------------------------------------------
-    def seed(self, vectors: Iterable[Vector]) -> None:
-        """Install vectors assumed to be a pairwise-complete Groebner basis.
-
-        No pairs are generated among them; later elements pair against them
-        normally.  Must be called before any add/complete.
-        """
+    def seed(self, known: BlockBasis) -> None:
+        """Install the Groebner basis `known`: one element per nonzero base vector,
+        shared by every block and paired only with later ones.  Must come first."""
         if self.basis or self._pairs:
             raise RuntimeError("seed must come first")
-        for v in vectors:
+        rank, blocks = known.rank, known.blocks
+        if blocks * rank - 1 > POS_MAX:
+            raise OverflowError(f"{blocks} blocks of rank {rank} leave the positions 0..{POS_MAX}")
+        if blocks > 1 and 0 < self.codec.split < blocks * rank:
+            raise ValueError("a shared block basis must lie below the elimination split")
+        for v in known.gb if blocks else ():
             if not v.is_zero():
                 self._install(self._pack(v.terms))
+        base = list(self._by_pos.items())
+        for k in range(1, blocks):
+            self._by_pos.update((slot - k * rank, list(elts)) for slot, elts in base)
+        self._blocks = blocks
 
     def add_generator(self, v: Vector) -> bool:
         """Reduce and append; returns True when the reduction is nonzero."""
@@ -352,7 +377,7 @@ class GroebnerEngine:
         while pairs and (degree is None or pairs[0][0] <= degree):
             _, lcm, i, j = heapq.heappop(pairs)
             fi, fj = basis[i], basis[j]
-            if pending[fi.slot].pop((i, j), None) is None:
+            if pending[fj.slot].pop((i, j), None) is None:
                 continue  # dropped by the B criterion
             if lcm >= fi.limit or lcm >= fj.limit:
                 raise OverflowError(f"S-pair leaves the packed degree range 0..{DEG_MAX}")
@@ -378,7 +403,9 @@ class GroebnerEngine:
         A tail term lies below its own lead, so no element with that lead
         can reduce it, and normal forms modulo a Groebner basis are unique:
         reducing a kept element's tail by the whole basis gives the tail of
-        its interreduced form."""
+        its interreduced form.  Shared block elements would read as block 0's."""
+        if self._blocks > 1:
+            raise RuntimeError("reduced_basis of a shared block basis")
         self.complete()
         divides = self.codec.divides
         # per position, the first of equals among the leads no other divides
@@ -401,11 +428,10 @@ class GroebnerEngine:
 
 
 def membership_engine(
-    ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int], gb: Sequence[Vector],
-    split: int = 0,
+    ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int], gb: BlockBasis, split: int = 0
 ) -> GroebnerEngine:
     """The completed engine on `vectors` over `gb`, a Groebner basis known
-    beforehand (seeded, so it forms no pairs among itself), in the term
+    beforehand (seeded once, so it forms no pairs among itself), in the term
     order `split` selects."""
     eng = GroebnerEngine(ring, degrees, split)
     eng.seed(gb)
@@ -417,16 +443,16 @@ def membership_engine(
 
 def groebner(ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int]) -> list[Vector]:
     """Reduced Groebner basis of the submodule generated by `vectors`."""
-    return membership_engine(ring, vectors, degrees, ()).reduced_basis()
+    return membership_engine(ring, vectors, degrees, NO_QUOTIENT).reduced_basis()
 
 
-def kernel_vectors(fmap: ModuleMap, target_quotient_gb: Sequence[Vector]) -> list[Vector]:
+def kernel_vectors(fmap: ModuleMap, target_quotient_gb: BlockBasis) -> list[Vector]:
     """Generators, not a Groebner basis, of the kernel of source -> target/Q.
 
     `target_quotient_gb` must be a Groebner basis, in the engine's default
     grevlex term-over-position order, of the submodule Q of the target that
-    is being quotiented out (empty for a plain kernel of a map of free
-    modules).
+    is being quotiented out (`NO_QUOTIENT` for a plain kernel of a map of
+    free modules).
 
     No S-pair between source-led elements is formed: it would combine two
     elements supported in the source alone.  So the target-led elements and
@@ -453,10 +479,10 @@ def minimal_generators(
     ring: PolyRing,
     vectors: Sequence[Vector],
     degrees: tuple[int, ...],
-    quotient_gb: Sequence[Vector] = (),
+    quotient_gb: BlockBasis = NO_QUOTIENT,
 ) -> list[Vector]:
     """Extract a minimal generating set from homogeneous module generators,
-    optionally modulo a submodule given by a homogeneous Groebner basis.
+    optionally modulo a submodule given by a homogeneous block basis.
 
     Processes by increasing degree; a candidate already inside the submodule
     generated by the kept ones (plus the quotient) is dropped (graded
@@ -465,13 +491,17 @@ def minimal_generators(
     membership in degree d exactly for graded input; a kept candidate's
     pairs all lie above d, since no earlier lead divides its lead, so one
     truncated completion per degree suffices.  Non-homogeneous input raises
-    ValueError.
+    ValueError; a quotient is checked on its base vectors alone, since each
+    block's degrees must be block 0's shifted by one constant.
     """
 
     def canon(v: Vector):
         return (v.degree(degrees), [(p, grevlex_key(m), str(c)) for (p, m), c in sorted(v.terms.items())])
 
-    for q in quotient_gb:
+    r, blocks = quotient_gb.rank, quotient_gb.blocks
+    if len({(k, degrees[k * r + i] - degrees[i]) for k in range(blocks) for i in range(r)}) > blocks:
+        raise ValueError("quotient blocks must be degree shifts of block 0")
+    for q in quotient_gb.gb if blocks else ():
         q.degree(degrees)  # raises ValueError unless homogeneous
     eng = GroebnerEngine(ring, degrees)
     eng.seed(quotient_gb)

@@ -12,7 +12,7 @@ recursion with memoization.
 
 from __future__ import annotations
 
-from .groebner import membership_engine
+from .groebner import NO_QUOTIENT, membership_engine
 from .modules import HilbertSeries, ModulePresentation
 
 
@@ -81,7 +81,7 @@ def hilbert_series(pres: ModulePresentation) -> HilbertSeries:
     from the lead terms of one completed Groebner engine on its relations."""
     ring = pres.ring
     degrees = pres.gen_degrees
-    eng = membership_engine(ring, pres.relation_vectors, degrees, ())
+    eng = membership_engine(ring, pres.relation_vectors, degrees, NO_QUOTIENT)
     leads: dict[int, list[tuple[int, ...]]] = {}
     for g in eng.basis:
         pos, mono = eng.codec.unpack(g.lead)

@@ -7,8 +7,8 @@ subject to every relation of M landing in the relation submodule of N.  The
 ambient free module is indexed by pairs (M-generator, N-generator), flattened
 M-major, with basis degree deg_N(i) - deg_M(k).
 
-Every quotient-module job of detlab has one path here: `block_copies` embeds
-a relation Groebner basis in a direct sum, `image_presentation` presents the
+Every quotient-module job of detlab has one path here: N's relation basis
+stands for N^k's as one `BlockBasis`, `image_presentation` presents the
 image of a map into a quotient, and `contains` decides submodule membership
 by normal forms against a completed `groebner.membership_engine`.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
-from .groebner import kernel_vectors, membership_engine, minimal_generators
+from .groebner import NO_QUOTIENT, BlockBasis, kernel_vectors, membership_engine, minimal_generators
 from .modules import FreeModule, ModuleMap, ModulePresentation, Vector
 from .rings import PolyRing
 
@@ -45,16 +45,7 @@ def _ambient(M: ModulePresentation, N: ModulePresentation) -> FreeModule:
     return FreeModule(M.ring, tuple(degs))
 
 
-def block_copies(gb: Sequence[Vector], rank: int, blocks: int) -> list[Vector]:
-    """Groebner basis of the relation submodule of N^blocks (block-diagonal),
-    from a Groebner basis `gb` of the relations of N, a quotient of a free
-    module of the given rank."""
-    return [v.shifted_positions(blk * rank) for blk in range(blocks) for v in gb]
-
-
-def image_presentation(
-    fmap: ModuleMap, quotient_gb: Sequence[Vector] = ()
-) -> ModulePresentation:
+def image_presentation(fmap: ModuleMap, quotient_gb: BlockBasis = NO_QUOTIENT) -> ModulePresentation:
     """The image of `fmap` in target/Q, presented on the source generators by
     a minimal generating set of the kernel; `quotient_gb` is a Groebner basis
     of Q (see `kernel_vectors`)."""
@@ -100,11 +91,11 @@ def hom_module(
                     terms[(q * b0 + i, m)] = c
             cols.append(Vector(ring, terms))
     constraint = ModuleMap(ambient, tgt, cols)
-    gens = kernel_vectors(constraint, block_copies(gb, b0, a1))
+    gens = kernel_vectors(constraint, BlockBasis(gb, b0, a1))
 
     # trim generators modulo the target relations: Hom lives in the quotient
     # of the preimage by the embedded relation submodule of N^{a0}
-    amb_quotient = block_copies(gb, b0, a0)
+    amb_quotient = BlockBasis(gb, b0, a0)
     gens = minimal_generators(ring, gens, ambient.degrees, amb_quotient)
     hom_free = FreeModule(ring, tuple(v.degree(ambient.degrees) for v in gens))
     # relations among the hom generators, modulo N-relations in each block
@@ -113,11 +104,11 @@ def hom_module(
 
 
 def contains(
-    ring: PolyRing, gens: Iterable[Vector], degrees, vectors: Iterable[Vector], gb=()
+    ring: PolyRing, gens: Iterable[Vector], degrees, vectors: Iterable[Vector], gb: BlockBasis = NO_QUOTIENT
 ) -> bool:
     """Does the submodule generated by `gb` and `gens` contain every one of
-    `vectors`?  `gb` must be a Groebner basis (`membership_engine` seeds
-    it).  Stops at the first vector outside it."""
+    `vectors`?  `gb` is a `BlockBasis` (`membership_engine` seeds it once).
+    Stops at the first vector outside it."""
     eng = membership_engine(ring, gens, degrees, gb)
     return all(eng.normal_form(v).is_zero() for v in vectors)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import groebner, minimal_generators
+from .groebner import BlockBasis, groebner, minimal_generators
 from .homs import image_presentation
 from .modules import FreeModule, HilbertSeries, ModuleMap, ModulePresentation, Vector
 
@@ -82,7 +82,7 @@ def free_resolution(pres: ModulePresentation) -> Resolution:
     ring = pres.ring
     gens = pres.generators
     if _has_constant_entry(pres.relation_vectors):
-        gb = groebner(ring, pres.relation_vectors, gens.degrees)
+        gb = BlockBasis(groebner(ring, pres.relation_vectors, gens.degrees), gens.rank, 1)
         basis = [gens.basis_vector(i) for i in range(gens.rank)]
         kept = minimal_generators(ring, basis, gens.degrees, gb)
         src = FreeModule(ring, tuple(v.degree(gens.degrees) for v in kept))

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .commalg import (
+    BlockBasis,
     FreeModule,
     HilbertSeries,
     HomModule,
@@ -22,7 +23,6 @@ from .commalg import (
     PolyRing,
     Polynomial,
     Vector,
-    block_copies,
     contains,
     free_resolution,
     hilbert_series,
@@ -174,7 +174,7 @@ def wedge_module(setup: DetSetup, shape) -> ImageModule:
     the quotient ring itself."""
     shape = Partition.of(shape)
     fmap = wedge_alpha_map(setup, shape)
-    quotient_gb = block_copies(setup.quotient.relation_vectors, 1, fmap.target.rank)
+    quotient_gb = BlockBasis(setup.quotient.relation_vectors, 1, fmap.target.rank)
     return ImageModule(shape, setup, fmap, image_presentation(fmap, quotient_gb))
 
 
@@ -385,7 +385,7 @@ def check_flip(setup: DetSetup) -> FlipReport:
         tau_cols = list(w2.columns)
         degs = dual.ambient.degrees
         # a Groebner basis by construction, so each membership engine seeds it
-        ideal = block_copies(setup.quotient.relation_vectors, 1, dual.ambient.rank)
+        ideal = BlockBasis(setup.quotient.relation_vectors, 1, dual.ambient.rank)
         well_defined = contains(
             ring, (), degs, (w2.apply(v) for v in t2.presentation.relation_vectors),
             gb=ideal,

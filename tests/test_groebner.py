@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from detlab.commalg import (
+    NO_QUOTIENT,
+    BlockBasis,
     FreeModule,
     GroebnerEngine,
     HilbertSeries,
@@ -15,13 +17,19 @@ from detlab.commalg import (
     PolyRing,
     Polynomial,
     Vector,
-    block_copies,
     contains,
     hilbert_series,
     kernel_vectors,
     minimal_generators,
 )
-from detlab.commalg.groebner import DEG_MAX, POS_MAX, TermCodec, grevlex_key, groebner
+from detlab.commalg.groebner import (
+    DEG_MAX,
+    POS_MAX,
+    TermCodec,
+    grevlex_key,
+    groebner,
+    membership_engine,
+)
 from detlab.commalg.hilbert import _minimalize, _mono_numerator
 from detlab.detvar import endomorphism_ring, generic_setup, wedge_alpha_map, wedge_module
 
@@ -120,7 +128,7 @@ def test_koszul_syzygy():
     F = FreeModule(R2, (1, 1))
     T = FreeModule(R2, (0,))
     f = ModuleMap.from_entries(F, T, [[X, Y]])
-    syz = kernel_vectors(f, [])
+    syz = kernel_vectors(f, NO_QUOTIENT)
     assert len(syz) == 1
     assert f.apply(syz[0]).is_zero()
     # the kernel is generated by (y, -x) up to sign
@@ -130,7 +138,7 @@ def test_koszul_syzygy():
 def test_identity_has_no_syzygies():
     F = FreeModule(R2, (0,))
     f = ModuleMap.from_entries(F, F, [[R2.one()]])
-    assert kernel_vectors(f, []) == []
+    assert kernel_vectors(f, NO_QUOTIENT) == []
 
 
 def test_kernel_through_quotient():
@@ -139,7 +147,7 @@ def test_kernel_through_quotient():
     T = FreeModule(R2, (0,))
     f = ModuleMap.from_entries(F, T, [[X]])
     q = [ideal_vec(R2, X * X)]
-    ker = kernel_vectors(f, groebner(R2, q, (0,)))
+    ker = kernel_vectors(f, BlockBasis(groebner(R2, q, (0,)), 1, 1))
     assert len(ker) == 1
     assert ker[0].terms == {(0, (1, 0)): R2.coeff(1)}
 
@@ -148,6 +156,11 @@ def _series(free, vectors):
     return hilbert_series(
         ModulePresentation.from_relations(free, [v for v in vectors if not v.is_zero()])
     )
+
+
+def copies(quotient):
+    """The shifted copies a block basis stands for, written out."""
+    return [v.shifted_positions(k * quotient.rank) for k in range(quotient.blocks) for v in quotient.gb]
 
 
 def kernel_oracle(fmap, quotient_gb, out) -> bool:
@@ -159,7 +172,8 @@ def kernel_oracle(fmap, quotient_gb, out) -> bool:
     tgt = fmap.target
     if not contains(tgt.ring, (), tgt.degrees, (fmap.apply(v) for v in out), gb=quotient_gb):
         return False
-    mod_q, mod_image = _series(tgt, quotient_gb), _series(tgt, [*quotient_gb, *fmap.columns])
+    written = copies(quotient_gb)
+    mod_q, mod_image = _series(tgt, written), _series(tgt, [*written, *fmap.columns])
     image = dict(mod_q.numerator)
     for d, c in mod_image.numerator.items():
         image[d] = image.get(d, 0) - c
@@ -179,7 +193,7 @@ def wedge_kernels(mnl, char):
     setup = generic_setup(*mnl, char=char)
     for alpha in setup.box():
         fmap = wedge_alpha_map(setup, alpha)
-        q = block_copies(setup.quotient.relation_vectors, 1, fmap.target.rank)
+        q = BlockBasis(setup.quotient.relation_vectors, 1, fmap.target.rank)
         yield fmap, q, kernel_vectors(fmap, q)
 
 
@@ -238,7 +252,7 @@ def test_minimal_generators_drops_redundant():
 
 
 def test_minimal_generators_mod_quotient():
-    q = groebner(R2, [ideal_vec(R2, X)], (0,))
+    q = BlockBasis(groebner(R2, [ideal_vec(R2, X)], (0,)), 1, 1)
     vecs = [ideal_vec(R2, X + Y), ideal_vec(R2, Y)]
     ming = minimal_generators(R2, vecs, (0,), q)
     assert len(ming) == 1
@@ -246,14 +260,14 @@ def test_minimal_generators_mod_quotient():
 
 def test_minimal_generators_rejects_nonhomogeneous_quotient():
     # degree truncation is exact only for graded input
-    q = [ideal_vec(R2, X * X + Y)]
+    q = BlockBasis([ideal_vec(R2, X * X + Y)], 1, 1)
     with pytest.raises(ValueError):
         minimal_generators(R2, [ideal_vec(R2, X)], (0,), q)
     with pytest.raises(ValueError):
         minimal_generators(R2, [ideal_vec(R2, X * X + Y)], (0,))
 
 
-def reference_minimal_generators(ring, vectors, degrees, quotient_gb=()):
+def reference_minimal_generators(ring, vectors, degrees, quotient_gb=NO_QUOTIENT):
     """The sweep without degree truncation: the same candidate order, with a
     full completion after every kept candidate."""
 
@@ -275,7 +289,7 @@ def checked_against_reference(monkeypatch, *modules):
     reference sweep and require the same vectors in the same order."""
     calls = []
 
-    def checked(ring, vectors, degrees, quotient_gb=()):
+    def checked(ring, vectors, degrees, quotient_gb=NO_QUOTIENT):
         got = minimal_generators(ring, vectors, degrees, quotient_gb)
         assert got == reference_minimal_generators(ring, vectors, degrees, quotient_gb)
         calls.append(len(got))
@@ -307,6 +321,20 @@ def test_minimal_generators_matches_reference_on_hom_inputs(monkeypatch):
     # the 3 summand presentations, then generators and relations of each of
     # the 9 blocks
     assert len(end.summands) == 3 and len(end.blocks) == 9 and len(calls) == 3 + 18
+
+
+def test_end_ring_installs_each_base_vector_once(monkeypatch):
+    """The (3,3,1) End ring over F_32003 installs this many basis elements
+    when each seeded block basis is packed once (6,676 when every block copy
+    was installed); the count is exact, so written-out copies fail here."""
+    setup = generic_setup(3, 3, 1, char=32003)
+    installs = []
+    real = GroebnerEngine._install
+    monkeypatch.setattr(
+        GroebnerEngine, "_install", lambda self, terms: installs.append(1) or real(self, terms)
+    )
+    endomorphism_ring(setup)
+    assert len(installs) == 2122
 
 
 @st.composite
@@ -350,9 +378,87 @@ def graded_inputs(draw):
 @settings(max_examples=150, deadline=None)
 def test_minimal_generators_matches_reference_property(case):
     ring, vectors, degrees, quotient_gb = case
+    quotient_gb = BlockBasis(quotient_gb, len(degrees), 1)
     assert minimal_generators(ring, vectors, degrees, quotient_gb) == (
         reference_minimal_generators(ring, vectors, degrees, quotient_gb)
     )
+
+
+@st.composite
+def block_inputs(draw):
+    """A block basis over a ring in 2-3 variables (a Groebner basis of random
+    homogeneous relations of a free module of rank 1-2, in 1-3 blocks whose
+    degrees are the base degrees shifted by a constant each), the term order
+    (grevlex, or every block below the elimination split), generators and
+    probes: random homogeneous vectors across all blocks."""
+    nvars = draw(st.integers(2, 3))
+    ring = PolyRing(nvars, draw(st.sampled_from([0, 32003])))
+    base = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+    blocks = draw(st.integers(1, 3))
+    shifts = draw(st.lists(st.integers(-1, 1), min_size=blocks, max_size=blocks))
+    degrees = tuple(d + s for s in shifts for d in base)
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+    def vector(degs):
+        total = max(degs) + draw(st.integers(0, 2))
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            pos = draw(st.integers(0, len(degs) - 1))
+            picks = draw(st.lists(st.integers(0, nvars - 1), min_size=total - degs[pos], max_size=total - degs[pos]))
+            terms[(pos, tuple(picks.count(i) for i in range(nvars)))] = ring.coeff(draw(coeff))
+        return Vector(ring, terms)
+
+    gb = groebner(ring, [vector(base) for _ in range(draw(st.integers(1, 3)))], base)
+    split = draw(st.sampled_from([0, blocks * len(base)]))
+    gens = [vector(degrees) for _ in range(draw(st.integers(0, 3)))]
+    probes = [vector(degrees) for _ in range(4)]
+    return ring, degrees, BlockBasis(gb, len(base), blocks), split, gens, probes
+
+
+@given(block_inputs())
+# a block-1 generator pairs with the base element shared into its slot; that
+# pair's lcm must sit at the generator's position, not at the base's
+@example((
+    R2, (0, 0, 0, 0),
+    BlockBasis([Vector(R2, {(0, (2, 0)): R2.coeff(1), (1, (2, 0)): R2.coeff(1)})], 2, 2),
+    0, [Vector(R2, {(2, (0, 0)): R2.coeff(1)})], [Vector(R2, {(0, (2, 0)): R2.coeff(1)})],
+))
+@settings(max_examples=150, deadline=None)
+def test_block_seeded_normal_forms_match_written_copies(case):
+    """An engine seeded with a block basis (one shared element per base
+    vector) and one completed on the written-out copies as generators, with
+    no seed, agree on every normal form: normal forms modulo a Groebner basis
+    are unique."""
+    ring, degrees, quotient, split, gens, probes = case
+    seeded = membership_engine(ring, gens, degrees, quotient, split)
+    written = membership_engine(ring, copies(quotient) + gens, degrees, NO_QUOTIENT, split)
+    assert len(seeded.basis) <= len(written.basis)
+    for v in probes + copies(quotient) + gens:
+        assert seeded.normal_form(v) == written.normal_form(v)
+
+
+def test_block_seed_guards():
+    """Guards the written-out copies gave: no block past the packed
+    positions, no shared block across the elimination split, no reduced basis
+    read off shared elements; zero blocks install nothing."""
+    one = R2.coeff(1)
+    base = [Vector(R2, {(0, (1, 0)): one})]
+    half = (POS_MAX + 1) // 2
+    with pytest.raises(OverflowError):
+        GroebnerEngine(R2, (0,)).seed(BlockBasis(base, half + 1, 2))
+    GroebnerEngine(R2, (0,)).seed(BlockBasis(base, half, 2))
+    with pytest.raises(ValueError):
+        GroebnerEngine(R2, (0, 0, 0), split=1).seed(BlockBasis(base, 1, 2))
+    eng = GroebnerEngine(R2, (0, 0), split=2)
+    eng.seed(BlockBasis(base, 1, 2))
+    assert eng.normal_form(Vector(R2, {(1, (2, 0)): one})).is_zero()
+    eng = GroebnerEngine(R2, (0, 0))
+    eng.seed(BlockBasis(base, 1, 2))
+    with pytest.raises(RuntimeError):
+        eng.reduced_basis()
+    eng = GroebnerEngine(R2, ())
+    eng.seed(BlockBasis(base, 1, 0))
+    assert eng.basis == []
 
 
 def divides(a, b):
@@ -503,7 +609,7 @@ def test_packed_range_is_guarded():
     # the degree by 4, so e0*x^a is refused once a + 4 exceeds DEG_MAX
     one = R2.coeff(1)
     eng = GroebnerEngine(R2, (0, 0), split=1)
-    eng.seed([Vector(R2, {(0, (1, 0)): one, (1, (0, 5)): one})])
+    eng.seed(BlockBasis([Vector(R2, {(0, (1, 0)): one, (1, (0, 5)): one})], 2, 1))
     a = DEG_MAX - 4
     nf = eng.normal_form(Vector(R2, {(0, (a, 0)): one}))
     assert nf.terms == {(1, (a - 1, 5)): -one}
@@ -556,7 +662,7 @@ def test_guard_bit_divisibility_and_lcm(pos, a, b, split):
 
 def eng_nf(ring, basis_vec, poly):
     eng = GroebnerEngine(ring, (0,))
-    eng.seed([basis_vec])
+    eng.seed(BlockBasis([basis_vec], 1, 1))
     return eng.normal_form(ideal_vec(ring, poly))
 
 
@@ -572,7 +678,7 @@ def test_coefficients_leave_the_engine_in_field_form(char):
         eng.add_generator(v)
     eng.complete()
     nf = eng.normal_form(ideal_vec(ring, x * x.scaled(5) + y * y.scaled(7) + x))
-    out = [nf, *gb, *eng.reduced_basis(), *kernel_vectors(f, [])]
+    out = [nf, *gb, *eng.reduced_basis(), *kernel_vectors(f, NO_QUOTIENT)]
     # 2x + 3y is made monic as x + 3/2 y; reducing 2x and x by it leaves -3y
     # (an integral result of fractional arithmetic) and -3/2 y
     (monic,) = groebner(ring, [ideal_vec(ring, x.scaled(2) + y.scaled(3))], (0,))
