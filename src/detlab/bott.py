@@ -15,8 +15,10 @@ Q-side sum of each case and calls it.  With E_alpha the tensor of wedge^c Q
 over the columns c of alpha, (wedge^c Q)^dual = wedge^{l-c} Q x det(Q)^{-1}
 makes Hom(E_alpha, E_beta) x det^t = E_gamma x det^{t - alpha_1}, with gamma
 the columns l - c < l of alpha and those of beta: a Hom pair is one wedge
-power.  A checker call computes each E_gamma, product and term straightening
-once, in memos freed with its verdict; weight tables, wedge expansions and
+power, keyed by (gamma, s = t - alpha_1).  A checker call straightens each
+key once and its pairs share the result; a degreewise checker tensors each
+E_gamma with Sym_t once per t, then twists: (V x det^s) x W = (V x W) x det^s.
+These memos are freed with the verdict; weight tables, wedge expansions and
 Weyl dimensions are kept per process and immutable (see `schurcalc`).
 Bott's sort-and-sign and Brauer-Klimyk share `partitions.straighten`.
 
@@ -149,46 +151,51 @@ def _report(parameters: dict, cases: list[CheckCase]) -> CheckReport:
     return CheckReport(parameters, cases, all(c.passed for c in cases))
 
 
-def _case(inputs: tuple, m: int, qsum: SchurSum, memo: dict | None = None) -> CheckCase:
-    """One case: qsum(Q) on Grass(qsum.rank, m) has no higher cohomology."""
+def _outcome(m: int, qsum: SchurSum, memo: dict | None = None) -> tuple:
+    """(degrees, passed) of one case: qsum(Q) on Grass(qsum.rank, m) has no H^{>0}."""
     table = cohomology_of(m, qsum, memo)
-    return CheckCase(inputs, tuple(table.degrees().items()), table.vanishes_above())
+    return tuple(table.degrees().items()), table.vanishes_above()
 
 
 def _hom_pairs(l: int, m: int, twist: int = 0):
-    """Yield (inputs, Q-side sum) of Hom(E_alpha, E_beta) x det(Q)^twist =
-    E_gamma x det(Q)^{twist - alpha_1} for every pair in the l x (m-l) box;
-    each sum must hold V_{beta - rev(alpha) + twist}, its top weight."""
-    box = enumerate_box(l, m - l)
-    cols = {a: conjugate(a).parts for a in box}
-    named = {a: (("alpha", a.parts), ("beta", a.parts)) for a in box}
+    """Yield (inputs, (gamma, s), E_gamma) for every pair in the l x (m-l) box:
+    Hom(E_alpha, E_beta) x det(Q)^twist = E_gamma x det(Q)^{s = twist - alpha_1},
+    E_gamma one column fold shared by its pairs; E_gamma must hold the top
+    weight beta - rev(alpha) + alpha_1, which det^s moves to that of the pair."""
+    rows = [(("alpha", a.parts), ("beta", a.parts), list(conjugate(a).parts), a.padded(l))
+            for a in enumerate_box(l, m - l)]
     folds, memo = {}, {}
-    for alpha in box:
-        duals = [l - c for c in cols[alpha] if c < l]
-        shift = twist - alpha.part(0)
-        low = tuple(twist - a for a in reversed(alpha.padded(l)))
-        for beta in box:
-            gamma = tuple(sorted(duals + list(cols[beta]), reverse=True))
-            qsum = SchurSum(l, {tuple(v + shift for v in w): k
-                                for w, k in column_fold(gamma, l, folds, memo).terms.items()})
-            top = tuple(a + b for a, b in zip(low, beta.padded(l)))
-            if qsum.terms.get(top, 0) < 1:
-                raise RuntimeError(f"Hom({alpha.parts}, {beta.parts}) lacks its top weight {top}")
-            yield (named[alpha][0], named[beta][1]), qsum
+    for a_input, _, a_cols, a_pad in rows:
+        duals = [l - c for c in a_cols if c < l]
+        s = twist - a_pad[0]
+        low = tuple(a_pad[0] - a for a in reversed(a_pad))
+        for _, b_input, b_cols, b_pad in rows:
+            gamma = tuple(sorted(duals + b_cols, reverse=True))
+            fold = column_fold(gamma, l, folds, memo)
+            top = tuple(a + b for a, b in zip(low, b_pad))
+            if fold.terms.get(top, 0) < 1:
+                raise RuntimeError(f"E_gamma of Hom({a_input[1]}, {b_input[1]}) lacks {top}")
+            yield (a_input, b_input), (gamma, s), fold
 
 
 def _degreewise(l: int, m: int, n: int, t_max: int, aux_dim: int, pairs: list) -> CheckReport:
-    """One case per degree t <= t_max and per (inputs, Q-side sum) pair: the
-    pair's sum tensored with Sym_t(aux x Q), aux trivial of dim aux_dim, has
-    no higher cohomology."""
+    """One case per degree t <= t_max and per (inputs, (base, s), sum) pair:
+    the sum tensored with Sym_t(aux x Q), aux trivial of dim aux_dim, and
+    twisted by det(Q)^s has no higher cohomology.  Per t, each base's sum is
+    tensored with Sym_t once and each of its twists straightened once."""
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    cases = []
-    products, terms = {}, {}
+    shifts: dict = {}
+    for _, (base, s), qsum in pairs:
+        shifts.setdefault(base, (qsum, set()))[1].add(s)
+    cases, products, terms = [], {}, {}
     for t in range(t_max + 1):
         sym = SchurSum(l, {g.padded(l): d for g, (_, d) in cauchy_expand(t, l, aux_dim)})
-        for inputs, qsum in pairs:
-            cases.append(_case((("t", t), *inputs), m, qsum.tensor(sym, products), terms))
+        outcomes = {}
+        for base, (qsum, twists) in shifts.items():
+            product = qsum.tensor(sym, products)
+            outcomes |= {(base, s): _outcome(m, product.twist(s), terms) for s in twists}
+        cases += [CheckCase((("t", t), *inputs), *outcomes[key]) for inputs, key, _ in pairs]
     return _report({"l": l, "m": m, "n": n, "t_max": t_max}, cases)
 
 
@@ -202,7 +209,7 @@ def check_hom_vanishing(l: int, m: int, alpha, delta) -> CheckReport:
     if len(delta) > l:
         raise ValueError(f"{delta.parts} has more than {l} rows")
     qsum = exterior_expand(alpha, l).dual().tensor(SchurSum(l, {delta.padded(l): 1}))
-    case = _case((("alpha", alpha.parts), ("delta", delta.parts)), m, qsum)
+    case = CheckCase((("alpha", alpha.parts), ("delta", delta.parts)), *_outcome(m, qsum))
     return _report({"l": l, "m": m}, [case])
 
 
@@ -210,8 +217,11 @@ def check_tilting_grass(l: int, m: int) -> CheckReport:
     """No higher self-extensions between box wedge powers of Q: for every
     pair (alpha, beta) in the box, H^{>0}(Hom(wedge^{alpha'}Q, wedge^{beta'}Q)) = 0."""
     _need_grassmannian(l, m)
-    memo: dict = {}
-    cases = [_case(inputs, m, qsum, memo) for inputs, qsum in _hom_pairs(l, m)]
+    cases, outcomes, terms = [], {}, {}
+    for inputs, key, fold in _hom_pairs(l, m):
+        if key not in outcomes:
+            outcomes[key] = _outcome(m, fold.twist(key[1]), terms)
+        cases.append(CheckCase(inputs, *outcomes[key]))
     return _report({"l": l, "m": m}, cases)
 
 
@@ -230,8 +240,7 @@ def check_dualizing_vanishing(l: int, m: int, n: int, t_max: int) -> CheckReport
     if m > n:
         raise ValueError("requires m <= n")
     _need_grassmannian(l, m)
-    pairs = list(_hom_pairs(l, m, n - m))
-    return _degreewise(l, m, n, t_max, n, pairs)
+    return _degreewise(l, m, n, t_max, n, list(_hom_pairs(l, m, n - m)))
 
 
 def check_fm_kernel(l: int, m: int, n: int, t_max: int) -> CheckReport:
@@ -241,5 +250,6 @@ def check_fm_kernel(l: int, m: int, n: int, t_max: int) -> CheckReport:
     if m > n:
         raise ValueError("requires m <= n")
     _need_grassmannian(l, m)
-    pairs = [((("alpha", a.parts),), exterior_expand(a, l).dual()) for a in enumerate_box(l, m - l)]
+    pairs = [((("alpha", a.parts),), (a, 0), exterior_expand(a, l).dual())
+             for a in enumerate_box(l, m - l)]
     return _degreewise(l, m, n, t_max, l, pairs)

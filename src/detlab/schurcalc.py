@@ -70,6 +70,10 @@ class SchurSum:
             self.rank, {tuple(-v for v in reversed(w)): mult for w, mult in self.terms.items()}
         )
 
+    def twist(self, s: int) -> "SchurSum":
+        """The tensor with det^s: each weight w becomes w + (s, ..., s)."""
+        return SchurSum(self.rank, {tuple(v + s for v in w): k for w, k in self.terms.items()})
+
     def tensor(self, other: "SchurSum", memo: dict | None = None) -> "SchurSum":
         """The tensor product, bilinear over pairs of terms.  Each pair is
         shifted to last entries 0 and its product read from `memo` (a fresh

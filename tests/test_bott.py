@@ -15,7 +15,7 @@ from detlab.bott import (
     cohomology_of,
 )
 from detlab.partitions import all_partitions, enumerate_box, weyl_dim
-from detlab.schurcalc import SchurSum, exterior_expand
+from detlab.schurcalc import SchurSum, cauchy_expand, column_fold, exterior_expand
 
 
 def serre_dual_term(l, m, x, y):
@@ -134,7 +134,8 @@ def test_cohomology_of_is_the_sum_of_its_pure_terms(l, m):
     pairs = list(bott._hom_pairs(l, m))
     assert len(pairs) == math.comb(m, l) ** 2
     shared = {}
-    for inputs, qsum in pairs:
+    for inputs, (_, s), fold in pairs:
+        qsum = fold.twist(s)
         want = bott.CohomologyTable(m)
         for x, mult in qsum.items():
             for deg, row in bott_cohomology(l, m, x, unit).entries.items():
@@ -167,18 +168,21 @@ def test_non_dominant_terms_raise_on_every_call_with_a_memo():
 def test_hom_pairs_match_the_tensor_of_both_wedge_expansions(l, m):
     """Oracle: each Hom pair's sum, in box order, is the tensor of the two
     box wedge expansions, exterior_expand(alpha).dual() x det^t x
-    exterior_expand(beta), at twists 0, 1 and 2."""
+    exterior_expand(beta), at twists 0, 1 and 2; the sum is its E_gamma
+    twisted by det^s, and E_gamma is the column fold of its key's gamma."""
     box = enumerate_box(l, m - l)
-    memo = {}
+    memo, folds = {}, {}
     for twist in (0, 1, 2):
         det = SchurSum(l, {(twist,) * l: 1})
         sources = {a: exterior_expand(a, l).dual().tensor(det, memo) for a in box}
         pairs = list(bott._hom_pairs(l, m, twist))
         assert len(pairs) == len(box) ** 2
-        for (alpha, beta), (inputs, qsum) in zip(itertools.product(box, box), pairs):
+        for (alpha, beta), (inputs, (gamma, s), fold) in zip(itertools.product(box, box), pairs):
             assert dict(inputs) == {"alpha": alpha.parts, "beta": beta.parts}
+            assert s == twist - alpha.part(0)
+            assert fold == column_fold(gamma, l, folds, memo), (twist, inputs)
             want = sources[alpha].tensor(exterior_expand(beta, l), memo)
-            assert qsum == want, (twist, inputs)
+            assert fold.twist(s) == want, (twist, inputs)
 
 
 def test_hom_vanishing_examples():
@@ -209,6 +213,57 @@ def test_checker_cases_go_through_cohomology_of(monkeypatch):
     monkeypatch.setattr(bott, "cohomology_of", counting)
     assert len(check_tilting_grass(1, 3).cases) == 9
     assert len(calls) == 9
+    # one straightening per distinct Hom bundle E_gamma x det^s (per t)
+    calls.clear()
+    assert len(check_tilting_grass(3, 8).cases) == 3136
+    assert len(calls) == 861
+    calls.clear()
+    assert len(check_tilting_springer(3, 6, 6, 2).cases) == 1200
+    assert len(calls) == 540
+
+
+def unshared_cases(l, m, n, t_max, kind):
+    """The cases of one checker computed pair by pair with nothing shared:
+    each pair's sum is the tensor of its own wedge expansions (and det^t),
+    tensored with its own Sym_t and straightened with a fresh term memo."""
+    box = enumerate_box(l, m - l)
+    if kind == "fm":
+        pairs = [((("alpha", a.parts),), exterior_expand(a, l).dual()) for a in box]
+    else:
+        twist = n - m if kind == "dualizing" else 0
+        det = SchurSum(l, {(twist,) * l: 1})
+        pairs = [((("alpha", a.parts), ("beta", b.parts)),
+                  exterior_expand(a, l).dual().tensor(det).tensor(exterior_expand(b, l)))
+                 for a, b in itertools.product(box, box)]
+    if kind == "grass":
+        steps = [((), SchurSum.unit(l))]
+    else:
+        aux = l if kind == "fm" else n
+        syms = [SchurSum(l, {g.padded(l): d for g, (_, d) in cauchy_expand(t, l, aux)})
+                for t in range(t_max + 1)]
+        steps = [((("t", t),), sym) for t, sym in enumerate(syms)]
+    cases = []
+    for tag, sym in steps:
+        for inputs, qsum in pairs:
+            table = cohomology_of(m, qsum.tensor(sym))
+            cases.append(bott.CheckCase(tag + inputs, tuple(table.degrees().items()),
+                                        table.vanishes_above()))
+    return cases
+
+
+@pytest.mark.parametrize("l, m", [(1, 3), (2, 4), (2, 5), (3, 6)])
+def test_shared_cases_match_the_unshared_pair_by_pair_cases(l, m):
+    """Sharing E_gamma x det^s, its Sym_t tensor and its straightening across
+    the pairs of one key changes no case of any Hom checker."""
+    n, t_max = m + 1, 2
+    checks = {
+        "grass": check_tilting_grass(l, m),
+        "springer": check_tilting_springer(l, m, n, t_max),
+        "dualizing": check_dualizing_vanishing(l, m, n, t_max),
+        "fm": check_fm_kernel(l, m, n, t_max),
+    }
+    for kind, rep in checks.items():
+        assert rep.cases == unshared_cases(l, m, n, t_max, kind), kind
 
 
 def test_tilting_grass_counts():

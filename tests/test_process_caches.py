@@ -98,7 +98,7 @@ def test_no_mutable_default_arguments():
 
 def test_no_module_level_dict_or_set():
     """State shared by every call of a process lives only in the allowed
-    tables above; the constant list grids of `suite` may stay."""
+    tables above; a module-level constant may be a list or a tuple."""
     found = [
         f"{path.name}:{line}"
         for path in sorted(SRC.rglob("*.py"))
