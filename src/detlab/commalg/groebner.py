@@ -32,14 +32,16 @@ place that does not sum and then normalize through `PolyRing.coeff`: they
 reduce mod p inline, and `_vector`, the engine's one exit, turns an integral
 `Fraction` that characteristic-zero reduction can leave back into an int.
 
-Every completed engine is built by `membership_engine`: seed a known
-Groebner basis, add the generators, complete.  `groebner` reads the reduced
-basis off one, `kernel_vectors` the source-led elements of an elimination
-one, and `hilbert_series` and `contains` use one as it is.  The known basis
-is a `BlockBasis`.  The packed encoding is affine in the position, so `seed`
-packs each base vector once and lists that element, in base order, under
-every block's slot (`t - lead` carries the offset into the tail); a pair's
-lcm and pending entry sit at its newer element's position.
+Every completed engine is built by `membership_engine`: seed the known
+Groebner bases, add the generators, complete.  `groebner` reads the reduced
+basis off one, `kernel_vectors` the source-led elements it did not seed off
+an elimination one, and `hilbert_series` and `contains` use one as it is.
+A known basis is a `BlockBasis`: the quotient of the target from position 0
+on and, in an elimination engine, a known part of the kernel from the split
+on.  The packed encoding is affine in the position, so `seed` packs each
+base vector once and lists that element, in base order, under every
+block's slot (`t - lead` carries the offset into the tail); a pair's lcm
+and pending entry sit at its newer element's position.
 
 Pair management follows Gebauer-Moller.  The coprime (product) criterion is
 only applied when both elements are supported in a single position, where the
@@ -190,6 +192,7 @@ class GroebnerEngine:
         # processed or dropped
         self._pending: dict[int, dict[tuple[int, int], int]] = {}
         self._blocks = 0  # blocks sharing the seeded elements
+        self._seeded = 0  # basis elements installed by `seed`
 
     # -- packing at the boundary -------------------------------------------------
     def _pack(self, terms: dict) -> dict:
@@ -342,23 +345,29 @@ class GroebnerEngine:
         return elt
 
     # -- public driving -------------------------------------------------------------
-    def seed(self, known: BlockBasis) -> None:
+    def seed(self, known: BlockBasis, source: BlockBasis = NO_QUOTIENT) -> None:
         """Install the Groebner basis `known`: one element per nonzero base vector,
-        shared by every block and paired only with later ones.  Must come first."""
+        shared by every block and paired only with later ones.  `source`, a
+        basis of the source side of an elimination engine, is seeded likewise
+        from the split on, where its elements are source-led and form no
+        pairs.  Must come first."""
         if self.basis or self._pairs:
             raise RuntimeError("seed must come first")
-        rank, blocks = known.rank, known.blocks
-        if blocks * rank - 1 > POS_MAX:
-            raise OverflowError(f"{blocks} blocks of rank {rank} leave the positions 0..{POS_MAX}")
-        if blocks > 1 and 0 < self.codec.split < blocks * rank:
-            raise ValueError("a shared block basis must lie below the elimination split")
-        for v in known.gb if blocks else ():
-            if not v.is_zero():
-                self._install(self._pack(v.terms))
-        base = list(self._by_pos.items())
-        for k in range(1, blocks):
-            self._by_pos.update((slot - k * rank, list(elts)) for slot, elts in base)
-        self._blocks = blocks
+        split = self.codec.split
+        if split < known.blocks * known.rank and (source.blocks or (known.blocks > 1 and split)):
+            raise ValueError("a shared block basis must lie below the elimination split, a source one above")
+        pack = self.codec.pack
+        for basis, offset in ((known, 0), (source, split)):
+            rank, blocks = basis.rank, basis.blocks
+            if offset + blocks * rank - 1 > POS_MAX:
+                raise OverflowError(f"{blocks} blocks of rank {rank} leave the positions 0..{POS_MAX}")
+            gb = [v for v in (basis.gb if blocks else ()) if not v.is_zero()]
+            base = [self._install({pack((p + offset, m)): c for (p, m), c in v.terms.items()}) for v in gb]
+            for k in range(1, blocks):
+                for elt in base:
+                    self._by_pos.setdefault(elt.slot - k * rank, []).append(elt)
+        self._blocks = known.blocks
+        self._seeded = len(self.basis)
 
     def add_generator(self, v: Vector) -> bool:
         """Reduce and append; returns True when the reduction is nonzero."""
@@ -428,13 +437,14 @@ class GroebnerEngine:
 
 
 def membership_engine(
-    ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int], gb: BlockBasis, split: int = 0
+    ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int], gb: BlockBasis, split: int = 0,
+    source_gb: BlockBasis = NO_QUOTIENT,
 ) -> GroebnerEngine:
     """The completed engine on `vectors` over `gb`, a Groebner basis known
     beforehand (seeded once, so it forms no pairs among itself), in the term
-    order `split` selects."""
+    order `split` selects; `source_gb` is seeded at the split (`seed`)."""
     eng = GroebnerEngine(ring, degrees, split)
-    eng.seed(gb)
+    eng.seed(gb, source_gb)
     for v in vectors:
         eng.add_generator(v)
     eng.complete()
@@ -446,22 +456,26 @@ def groebner(ring: PolyRing, vectors: Iterable[Vector], degrees: Sequence[int]) 
     return membership_engine(ring, vectors, degrees, NO_QUOTIENT).reduced_basis()
 
 
-def kernel_vectors(fmap: ModuleMap, target_quotient_gb: BlockBasis) -> list[Vector]:
-    """Generators, not a Groebner basis, of the kernel of source -> target/Q.
+def kernel_vectors(
+    fmap: ModuleMap, target_quotient_gb: BlockBasis, source_gb: BlockBasis = NO_QUOTIENT
+) -> list[Vector]:
+    """Generators, not a Groebner basis, of the kernel of source -> target/Q
+    modulo a known part K of it.
 
     `target_quotient_gb` must be a Groebner basis, in the engine's default
     grevlex term-over-position order, of the submodule Q of the target that
     is being quotiented out (`NO_QUOTIENT` for a plain kernel of a map of
-    free modules).
+    free modules); `source_gb`, likewise, one of a K that the map sends into
+    Q.  K is seeded at the source positions, where it reduces source terms.
 
     No S-pair between source-led elements is formed: it would combine two
     elements supported in the source alone.  So the target-led elements and
     a Groebner basis of the source-led ones' span are a Groebner basis of the
-    graph module, and by elimination the source-led elements, returned in
-    basis order and not interreduced, span the kernel.  The order puts every
-    target position above every source position, so each term of a
-    source-led element lies in the source block, and shifting its positions
-    down by the target rank reads it in the source.
+    graph module, and by elimination the source-led elements, of which those
+    not seeded are returned in basis order and not interreduced, span the
+    kernel.  The order puts every target position above every source
+    position, so each term of a source-led element lies in the source block,
+    and shifting its positions down by the target rank reads it in the source.
     """
     ring = fmap.source.ring
     t = fmap.target.rank
@@ -471,8 +485,8 @@ def kernel_vectors(fmap: ModuleMap, target_quotient_gb: BlockBasis) -> list[Vect
         Vector(ring, {**fmap.columns[j].terms, (t + j, ring.zero_mono): one}) for j in range(s)
     ]
     degrees = fmap.target.degrees + fmap.source.degrees
-    eng = membership_engine(ring, graph, degrees, target_quotient_gb, split=t)
-    return [eng._vector(g.terms).shifted_positions(-t) for g in eng.basis if g.lead_pos >= t]
+    eng = membership_engine(ring, graph, degrees, target_quotient_gb, t, source_gb)
+    return [eng._vector(g.terms).shifted_positions(-t) for g in eng.basis[eng._seeded:] if g.lead_pos >= t]
 
 
 def minimal_generators(

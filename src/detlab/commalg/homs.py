@@ -62,7 +62,9 @@ def hom_module(
     When both arguments are modules over a quotient ring (their relations
     contain the quotient ideal times each generator), this is the Hom over
     that quotient.  `gb` is the reduced Groebner basis of N's relations (as
-    `groebner` returns it), computed once by the caller.
+    `groebner` returns it), computed once by the caller; it stands for N's
+    relations in the constraint target and in every slot of the ambient
+    module, where it seeds the constraint kernel.
     """
     if M.ring != N.ring:
         raise ValueError("modules must share a ring")
@@ -91,11 +93,12 @@ def hom_module(
                     terms[(q * b0 + i, m)] = c
             cols.append(Vector(ring, terms))
     constraint = ModuleMap(ambient, tgt, cols)
-    gens = kernel_vectors(constraint, BlockBasis(gb, b0, a1))
-
-    # trim generators modulo the target relations: Hom lives in the quotient
-    # of the preimage by the embedded relation submodule of N^{a0}
+    # N's relations in every slot, K^{a0}, map into K^{a1}: a known part of
+    # the kernel, seeded so the kernel comes out modulo it
     amb_quotient = BlockBasis(gb, b0, a0)
+    gens = kernel_vectors(constraint, BlockBasis(gb, b0, a1), amb_quotient)
+    # trim those generators modulo K^{a0} too: Hom lives in the quotient of
+    # the preimage by the embedded relation submodule of N^{a0}
     gens = minimal_generators(ring, gens, ambient.degrees, amb_quotient)
     hom_free = FreeModule(ring, tuple(v.degree(ambient.degrees) for v in gens))
     # relations among the hom generators, modulo N-relations in each block

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .commalg import (
     BlockBasis,
@@ -315,13 +315,16 @@ def endomorphism_ring(setup: DetSetup) -> EndomorphismRing:
 
 
 def certify_end_mcm(end: EndomorphismRing) -> dict:
-    """Blockwise Cohen-Macaulay certificates for the endomorphism ring."""
-    out = {}
-    for key in sorted(end.blocks):
-        a = end.summands[key[0]].shape.parts
-        b = end.summands[key[1]].shape.parts
-        cert = certify_mcm(end.blocks[key], end.setup, shape=None)
-        out[(a, b)] = cert
+    """Blockwise Cohen-Macaulay certificates for the endomorphism ring; each
+    distinct block presentation (generator degrees, relation vectors) is
+    certified once per call, and blocks sharing one get equal copies."""
+    out, certs = {}, {}
+    for (i, j), pres in sorted(end.blocks.items()):
+        key = (pres.gen_degrees, tuple(tuple(sorted(v.terms.items())) for v in pres.relation_vectors))
+        if key not in certs:
+            certs[key] = certify_mcm(pres, end.setup)
+        shapes = (end.summands[i].shape.parts, end.summands[j].shape.parts)
+        out[shapes] = replace(certs[key], betti_ranks=list(certs[key].betti_ranks))
     return out
 
 

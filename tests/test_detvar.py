@@ -19,6 +19,7 @@ from detlab.commalg import (
     hom_module,
     matrix_rank,
     poly_det,
+    presentation_to_json,
 )
 from detlab.commalg.groebner import groebner
 from detlab.detvar import (
@@ -321,6 +322,45 @@ def test_endomorphism_ring_structure():
     assert len(end.blocks) == 4
     certs = certify_end_mcm(end)
     assert all(c.passed for c in certs.values())
+
+
+@pytest.mark.parametrize("mnl,distinct", [((3, 3, 1), 5), ((3, 4, 2), 7)])
+def test_end_mcm_resolves_each_distinct_block_once(monkeypatch, mnl, distinct):
+    """Of the 9 End blocks over F_32003, blocks with identical presentations
+    share one resolution: `certify_end_mcm` resolves `distinct` of them."""
+    from detlab import detvar
+
+    end = endomorphism_ring(generic_setup(*mnl, char=32003))
+    calls = []
+    real = detvar.free_resolution
+    monkeypatch.setattr(detvar, "free_resolution", lambda pres: calls.append(1) or real(pres))
+    certs = certify_end_mcm(end)
+    assert len(end.blocks) == len(certs) == 9 and len(calls) == distinct
+    assert all(c.passed for c in certs.values())
+
+
+def test_end_mcm_twin_blocks_get_separate_certificates():
+    """Blocks with identical presentations get equal certificates that share
+    no mutable field: changing one block's Betti ranks leaves its twin's."""
+    end = endomorphism_ring(generic_setup(3, 3, 1, char=32003))
+    certs = certify_end_mcm(end)
+    keys = sorted(end.blocks)
+    twins = [
+        (x, y)
+        for x, y in itertools.combinations(keys, 2)
+        if presentation_to_json(end.blocks[x]) == presentation_to_json(end.blocks[y])
+    ]
+    # the three diagonal blocks are alike, and two pairs off the diagonal
+    assert len(twins) == 5
+
+    def cert(key):
+        return certs[(end.summands[key[0]].shape.parts, end.summands[key[1]].shape.parts)]
+
+    for x, y in twins:
+        assert cert(x) == cert(y) and cert(x) is not cert(y)
+    a, b = cert(twins[0][0]), cert(twins[0][1])
+    a.betti_ranks.append(0)
+    assert a != b and b == certify_mcm(end.blocks[twins[0][1]], end.setup)
 
 
 def test_endomorphism_requires_m_le_n():

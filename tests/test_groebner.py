@@ -163,13 +163,15 @@ def copies(quotient):
     return [v.shifted_positions(k * quotient.rank) for k in range(quotient.blocks) for v in quotient.gb]
 
 
-def kernel_oracle(fmap, quotient_gb, out) -> bool:
-    """Do `out` generate the kernel of source -> target/Q?  Checked without
-    the elimination engine: every output maps into Q (`contains`), and the
-    span has the Hilbert series that the exact sequence
+def kernel_oracle(fmap, quotient_gb, out, source_gb=NO_QUOTIENT) -> bool:
+    """Do `out`, with the copies of the seeded source basis, generate the
+    kernel of source -> target/Q?  Checked without the elimination engine:
+    every generator maps into Q (`contains`), and their span has the Hilbert
+    series that the exact sequence
     0 -> ker -> source -> target/Q -> target/(Q + im f) -> 0 forces; a
     graded submodule of the kernel with the kernel's series is the kernel."""
     tgt = fmap.target
+    out = [*out, *copies(source_gb)]
     if not contains(tgt.ring, (), tgt.degrees, (fmap.apply(v) for v in out), gb=quotient_gb):
         return False
     written = copies(quotient_gb)
@@ -197,22 +199,23 @@ def wedge_kernels(mnl, char):
         yield fmap, q, kernel_vectors(fmap, q)
 
 
-def hom_kernels(monkeypatch):
+def hom_kernels(monkeypatch, mnl=(3, 3, 1)):
     """Every kernel `commalg.homs` takes while building the End ring of
-    (3,3,1) over F_32003: the relations of the 3 summands, then the
-    constraint kernel and the relations of each of the 9 blocks."""
+    `mnl` over F_32003, with its seeded source basis: the relations of the
+    summands, then the constraint kernel (seeded with N's relations in every
+    slot) and the relations of each block."""
     from detlab.commalg import homs
 
     calls = []
 
-    def recording(fmap, quotient_gb):
-        out = kernel_vectors(fmap, quotient_gb)
-        calls.append((fmap, quotient_gb, out))
+    def recording(fmap, quotient_gb, source_gb=NO_QUOTIENT):
+        out = kernel_vectors(fmap, quotient_gb, source_gb)
+        calls.append((fmap, quotient_gb, source_gb, out))
         return out
 
     monkeypatch.setattr(homs, "kernel_vectors", recording)
-    endomorphism_ring(generic_setup(3, 3, 1, char=32003))
-    assert len(calls) == 3 + 18
+    end = endomorphism_ring(generic_setup(*mnl, char=32003))
+    assert len(calls) == len(end.summands) + 2 * len(end.blocks)
     return calls
 
 
@@ -223,8 +226,24 @@ def test_kernel_vectors_oracle_on_wedge_maps(mnl, char):
 
 
 def test_kernel_vectors_oracle_on_hom_kernels(monkeypatch):
-    for fmap, q, out in hom_kernels(monkeypatch):
-        assert kernel_oracle(fmap, q, out)
+    calls = hom_kernels(monkeypatch)
+    assert len(calls) == 3 + 18
+    for fmap, q, source, out in calls:
+        assert kernel_oracle(fmap, q, out, source)
+
+
+@pytest.mark.parametrize("mnl", [(3, 3, 1), (3, 4, 2)])
+def test_seeded_source_basis_is_known_kernel(monkeypatch, mnl):
+    """Seeding N's relations at the source side of a constraint kernel is
+    sound: they map into the target quotient, and no returned vector lies in
+    their span (each is in normal form against the seed)."""
+    seeded = [c for c in hom_kernels(monkeypatch, mnl) if c[2].blocks]
+    assert len(seeded) == 9
+    for fmap, q, source, out in seeded:
+        ring, degs = fmap.source.ring, fmap.source.degrees
+        known = copies(source)
+        assert contains(ring, (), fmap.target.degrees, (fmap.apply(v) for v in known), gb=q)
+        assert not any(contains(ring, known, degs, [v]) for v in out)
 
 
 @pytest.mark.parametrize("mnl,char", WEDGE_KERNEL_CASES)
@@ -236,13 +255,14 @@ def test_kernel_oracle_rejects_dropped_top_degree_on_wedge_maps(mnl, char):
 
 
 def test_kernel_oracle_rejects_dropped_top_degree_on_hom_kernels(monkeypatch):
-    # rejected where lower-degree outputs remain too, so not only because the
-    # mutant output is empty
-    assert any(
-        not kernel_oracle(f, q, drop_top_degree(f, out))
-        for f, q, out in hom_kernels(monkeypatch)
-        if len({v.degree(f.source.degrees) for v in out}) > 1
-    )
+    # every seeded constraint kernel is rejected although the seeded copies
+    # remain, so not only because the mutant's generating set is empty
+    rejected = [
+        not kernel_oracle(f, q, drop_top_degree(f, out), source)
+        for f, q, source, out in hom_kernels(monkeypatch)
+        if source.blocks
+    ]
+    assert len(rejected) == 9 and all(rejected)
 
 
 def test_minimal_generators_drops_redundant():
@@ -326,7 +346,9 @@ def test_minimal_generators_matches_reference_on_hom_inputs(monkeypatch):
 def test_end_ring_installs_each_base_vector_once(monkeypatch):
     """The (3,3,1) End ring over F_32003 installs this many basis elements
     when each seeded block basis is packed once (6,676 when every block copy
-    was installed); the count is exact, so written-out copies fail here."""
+    was installed) and each constraint kernel is seeded with N's relations
+    at its source (2,122 without that seed); the count is exact, so
+    written-out copies or an unseeded source fail here."""
     setup = generic_setup(3, 3, 1, char=32003)
     installs = []
     real = GroebnerEngine._install
@@ -334,7 +356,7 @@ def test_end_ring_installs_each_base_vector_once(monkeypatch):
         GroebnerEngine, "_install", lambda self, terms: installs.append(1) or real(self, terms)
     )
     endomorphism_ring(setup)
-    assert len(installs) == 2122
+    assert len(installs) == 1650
 
 
 @st.composite
@@ -440,7 +462,8 @@ def test_block_seeded_normal_forms_match_written_copies(case):
 def test_block_seed_guards():
     """Guards the written-out copies gave: no block past the packed
     positions, no shared block across the elimination split, no reduced basis
-    read off shared elements; zero blocks install nothing."""
+    read off shared elements; zero blocks install nothing.  A source basis
+    sits above the known one and obeys the same position bound."""
     one = R2.coeff(1)
     base = [Vector(R2, {(0, (1, 0)): one})]
     half = (POS_MAX + 1) // 2
@@ -459,6 +482,18 @@ def test_block_seed_guards():
     eng = GroebnerEngine(R2, ())
     eng.seed(BlockBasis(base, 1, 0))
     assert eng.basis == []
+    # a source basis starts at the split, above the known basis, and stays in
+    # range; with no target (split 0) it is the whole kernel
+    with pytest.raises(ValueError):
+        GroebnerEngine(R2, (0, 0)).seed(BlockBasis(base, 1, 1), BlockBasis(base, 1, 1))
+    eng = GroebnerEngine(R2, (0,))
+    eng.seed(NO_QUOTIENT, BlockBasis(base, 1, 1))
+    assert len(eng.basis) == 1
+    with pytest.raises(OverflowError):
+        GroebnerEngine(R2, (0,), split=2).seed(NO_QUOTIENT, BlockBasis(base, half, 2))
+    eng = GroebnerEngine(R2, (0, 0, 0), split=1)
+    eng.seed(NO_QUOTIENT, BlockBasis(base, 1, 2))
+    assert len(eng.basis) == 1 and eng.normal_form(Vector(R2, {(2, (2, 0)): one})).is_zero()
 
 
 def divides(a, b):
