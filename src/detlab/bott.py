@@ -29,6 +29,7 @@ assumption in `assumptions`, and the command line reports char 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Iterable
 
 from .partitions import Partition, conjugate, enumerate_box, straighten, weyl_dim
@@ -78,13 +79,12 @@ def _need_grassmannian(l: int, m: int) -> None:
         raise ValueError("need 1 <= l < m")
 
 
-def _pure_term(m: int, x: tuple, y: tuple) -> tuple:
-    """H^*(L_x(Q) x L_y(R)) on Grass(len(x), m), y dominant: (degree, weight) or ()."""
-    if any(a < b for a, b in zip(x, x[1:])):
+def _pure_term(rho: range, x: tuple, y: tuple) -> tuple:
+    """H^*(L_x(Q) x L_y(R)) on Grass(len(x), m), rho = (m-1..0): (degree, weight) or ()."""
+    if list(x) != sorted(x, reverse=True):
         raise ValueError(f"weight {x} is not dominant")
-    rho = range(m - 1, -1, -1)
-    st = straighten([a + b for a, b in zip(x + y, rho)])
-    return () if st is None else (st[0], tuple(a - b for a, b in zip(st[1], rho)))
+    st = straighten(map(add, x + y, rho))
+    return () if st is None else (st[0], tuple(map(sub, st[1], rho)))
 
 
 def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> CohomologyTable:
@@ -97,25 +97,26 @@ def bott_cohomology(l: int, m: int, x: Iterable[int], y: Iterable[int]) -> Cohom
     if any(a < b for a, b in zip(y, y[1:])):
         raise ValueError(f"weight {y} is not dominant")
     table = CohomologyTable(m)
-    term = _pure_term(m, x, y)
+    term = _pure_term(range(m - 1, -1, -1), x, y)
     if term:
         table.add(*term, 1)
     return table
 
 
 def cohomology_of(m: int, qsum: SchurSum, memo: dict | None = None) -> CohomologyTable:
-    """Cohomology of qsum(Q) on Grass(qsum.rank, m), term by pure term, each
-    read from `memo` (a fresh dict when None) under (m, weight), where it is
-    put once it has passed the dominance check."""
+    """Cohomology of qsum(Q) on Grass(qsum.rank, m), term by pure term in dict
+    order (the table is the same in any), each read from `memo` (a fresh dict
+    when None) under (m, weight), put there once it passes the dominance check."""
     if qsum.rank > m:
         raise ValueError(f"rank {qsum.rank} exceeds m = {m}")
     memo = {} if memo is None else memo
     table = CohomologyTable(m)
     unit = (0,) * (m - qsum.rank)
-    for x, mult in qsum.items():
+    rho = range(m - 1, -1, -1)
+    for x, mult in qsum.terms.items():
         term = memo.get((m, x))
         if term is None:
-            term = memo[m, x] = _pure_term(m, x, unit)
+            term = memo[m, x] = _pure_term(rho, x, unit)
         if term:
             table.add(*term, mult)
     return table

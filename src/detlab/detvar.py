@@ -10,6 +10,7 @@ transpose-side duality, and box-complement symmetry of the endomorphism ring.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
 
@@ -161,8 +162,6 @@ class ImageModule:
 
 
 def prod_binomial(l: int, shape) -> int:
-    import math
-
     out = 1
     for c in conjugate(Partition.of(shape)).parts:
         out *= math.comb(l, c)

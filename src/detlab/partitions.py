@@ -145,20 +145,25 @@ def _weyl_dim(w: tuple[int, ...]) -> int:
 
 def straighten(v) -> tuple[int, tuple[int, ...]] | None:
     """Sort v into strictly decreasing order: (inversion count, sorted tuple),
-    or None when an entry repeats; inversions are counted by bisection.
+    or None when an entry repeats (one sort, one set); 0 inversions when the
+    sort moved nothing, else counted by bisection.
 
     This is the dotted Weyl-group step shared by Bott's theorem and the
     Brauer-Klimyk rule, applied to a weight that already has rho added.
     """
+    v = tuple(v)
+    s = tuple(sorted(v, reverse=True))
+    if len(set(s)) < len(s):
+        return None
+    if s == v:
+        return 0, s
     seen: list[int] = []  # the entries so far, increasing
     inversions = 0
     for a in v:
         k = bisect_left(seen, a)  # earlier entries below a
-        if k < len(seen) and seen[k] == a:
-            return None
         inversions += k
         seen.insert(k, a)
-    return inversions, tuple(reversed(seen))
+    return inversions, s
 
 
 def all_partitions(max_size: int, max_rows: int | None = None) -> list[Partition]:

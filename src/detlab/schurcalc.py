@@ -28,11 +28,10 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, sub
 
 from .commalg import Polynomial, PolyRing
-from .partitions import (
-    Partition, canonical_parts, conjugate, partitions_of, straighten, weyl_dim,
-)
+from .partitions import Partition, conjugate, partitions_of, straighten, weyl_dim
 
 
 @dataclass
@@ -58,17 +57,12 @@ class SchurSum:
         if self.terms[w] == 0:
             del self.terms[w]
 
-    def items(self):
-        return sorted(self.terms.items())
-
     def dimension(self) -> int:
         return sum(mult * weyl_dim(w) for w, mult in self.terms.items())
 
     def dual(self) -> "SchurSum":
         """The dual module: each weight w becomes -w reversed."""
-        return SchurSum(
-            self.rank, {tuple(-v for v in reversed(w)): mult for w, mult in self.terms.items()}
-        )
+        return SchurSum(self.rank, {tuple([-v for v in w[::-1]]): k for w, k in self.terms.items()})
 
     def twist(self, s: int) -> "SchurSum":
         """The tensor with det^s: each weight w becomes w + (s, ..., s)."""
@@ -78,27 +72,33 @@ class SchurSum:
         """The tensor product, bilinear over pairs of terms.  Each pair is
         shifted to last entries 0 and its product read from `memo` (a fresh
         dict when None), where `_irreducible_product` puts it on first use;
-        a caller that passes one memo to many calls shares the products."""
+        a caller that passes one memo to many calls shares the products.  The
+        loops over each factor's terms sum its dimension for the product check."""
         if other.rank != self.rank:
             raise ValueError("rank mismatch")
         memo = {} if memo is None else memo
         acc: dict[tuple[int, ...], int] = {}
-        ys = [(tuple(v - y[-1] for v in y), y[-1], my) for y, my in other.terms.items()]
+        ys, dx, dy = [], 0, 0
+        for y, my in other.terms.items():
+            dy += my * weyl_dim(y)
+            cy = y[-1]
+            ys.append((tuple([v - cy for v in y]) if cy else y, cy, my))
         for x, mx in self.terms.items():
-            x0 = tuple(v - x[-1] for v in x)
+            dx += mx * weyl_dim(x)
+            cx = x[-1]
+            x0 = tuple([v - cx for v in x]) if cx else x
             for y0, cy, my in ys:
-                c = x[-1] + cy
                 product = memo.get((x0, y0))
                 if product is None:
                     product = memo[x0, y0] = _irreducible_product(x0, y0)
+                c, mxy = cx + cy, mx * my
                 for z, k in product:
-                    z = tuple(v + c for v in z)
-                    acc[z] = acc.get(z, 0) + mx * my * k
+                    if c:
+                        z = tuple([v + c for v in z])
+                    acc[z] = acc.get(z, 0) + mxy * k
         out = SchurSum(self.rank, {z: k for z, k in acc.items() if k})
-        dims = self.dimension(), other.dimension()
-        if out.dimension() != dims[0] * dims[1]:
-            raise RuntimeError(f"tensor product of dimension {out.dimension()}, "
-                               f"expected {dims[0]} * {dims[1]}")
+        if out.dimension() != dx * dy:
+            raise RuntimeError(f"tensor of dimension {out.dimension()}, expected {dx} * {dy}")
         return out
 
     @staticmethod
@@ -109,21 +109,20 @@ class SchurSum:
 
 
 def _irreducible_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple:
-    """Brauer-Klimyk for two partitions of length rank: every weight mu of the
-    smaller factor gives sign(w) V_{w(x + mu + rho) - rho}, where w sorts
-    x + mu + rho and a repeated entry gives nothing.  Returns the immutable
-    (weight, multiplicity) pairs of V_x x V_y."""
+    """Brauer-Klimyk for two partitions of length rank ending in 0: every weight
+    mu of the smaller factor (its table read under the zero-stripped shape) gives
+    sign(w) V_{w(x + mu + rho) - rho}, where w sorts x + mu + rho and a repeated
+    entry gives nothing.  Returns the immutable (weight, multiplicity) pairs."""
     if weyl_dim(y) > weyl_dim(x):
         x, y = y, x
     rho = range(len(x) - 1, -1, -1)
-    shifted = [a + r for a, r in zip(x, rho)]
+    shifted = tuple(map(add, x, rho))
     acc: dict[tuple[int, ...], int] = {}
-    for mu, k in _character_table(canonical_parts(y), len(y)):
-        st = straighten([a + b for a, b in zip(shifted, mu)])
+    for mu, k in _character_table(y[:len(y) - y.count(0)], len(y)):
+        st = straighten(map(add, shifted, mu))
         if st is not None:
-            inversions, v = st
-            z = tuple(a - r for a, r in zip(v, rho))
-            acc[z] = acc.get(z, 0) + (-1) ** inversions * k
+            z = tuple(map(sub, st[1], rho))
+            acc[z] = acc.get(z, 0) + (-k if st[0] & 1 else k)
     return tuple((z, k) for z, k in acc.items() if k)
 
 
@@ -269,8 +268,7 @@ def cauchy_expand(t: int, l1: int, l2: int) -> list[tuple[Partition, tuple[int, 
 
 def semistandard_tableaux(shape, nvals: int):
     """Yield all SSYT of the given shape with entries in 1..nvals."""
-    shape = Partition.of(shape)
-    rows = shape.parts
+    rows = Partition.of(shape).parts
     if len(rows) > nvals:
         return
     tab = [[0] * r for r in rows]
@@ -289,9 +287,6 @@ def semistandard_tableaux(shape, nvals: int):
             tab[i][j] = v
             yield from rec(ni, nj)
 
-    if not rows:
-        yield []
-        return
     yield from rec(0, 0)
 
 

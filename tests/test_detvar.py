@@ -279,7 +279,7 @@ def bott_h0(l, m, n, alpha, t) -> int:
         sym_t.add(g.padded(l), dim_n)
     return sum(
         mult * bott_cohomology(l, m, x, (0,) * (m - l)).dim(0)
-        for x, mult in exterior_expand(alpha, l).tensor(sym_t).items()
+        for x, mult in sorted(exterior_expand(alpha, l).tensor(sym_t).terms.items())
     )
 
 

@@ -143,6 +143,16 @@ def test_straighten_matches_the_quadratic_count(v):
     assert straighten(tuple(v)) == quadratic_straighten(v)
 
 
+def test_straighten_matches_the_quadratic_count_on_every_small_vector():
+    """Every vector of length 0-5 with entries in -2..4: repeated entries,
+    vectors the sort leaves in place, and every inversion count."""
+    for n in range(6):
+        for v in itertools.product(range(-2, 5), repeat=n):
+            want = quadratic_straighten(v)
+            assert straighten(v) == want, v
+            assert straighten(list(v)) == want, v
+
+
 def weakly_decreasing(max_rows, max_part):
     """Brute force: every weakly decreasing tuple of at most `max_rows`
     entries in 1..max_part, keyed by its sum."""
